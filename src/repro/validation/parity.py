@@ -42,6 +42,7 @@ Three consumers:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import time
 import zlib
@@ -337,6 +338,19 @@ def flatten_stats(report: SimulationReport) -> Dict[str, object]:
     visit(top, "report.")
     visit(report.details, "details.")
     return flat
+
+
+def stats_digest(report_or_stats) -> str:
+    """sha256 of the canonical JSON of a run's simulated statistics.
+
+    Accepts a :class:`SimulationReport` or an already flattened map (the
+    fuzzer extends ``flatten_stats`` with its kernel-op counters).  The
+    encoding matches the benchmark's pinned digests.
+    """
+    flat = (report_or_stats if isinstance(report_or_stats, dict)
+            else flatten_stats(report_or_stats))
+    encoded = json.dumps(flat, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 def diff_stats(legacy: Dict[str, object],
