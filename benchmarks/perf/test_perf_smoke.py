@@ -1,21 +1,31 @@
-"""Always-on perf smoke gate: fail if fast-path KIPS regresses past tolerance.
+"""Always-on perf smoke gate: fail if simulator KIPS regresses past tolerance.
 
-Three scenarios are gated: GUPS (the application fast path), ``llm_faults``
+Four scenarios are gated: GUPS (the application fast path), ``llm_faults``
 (the kernel-dominated fault-heavy scenario that isolates the array-backed
-MimicOS stream path) and ``multicore_contention`` (two simulated cores
-sharing the LLC/DRAM — the multi-core batching path).  Each compares
-throughput measured on this host against the value recorded in
-``BENCH_perf.json`` and fails when it drops more than
-:data:`~benchmarks.perf.kips_harness.REGRESSION_TOLERANCE` (30 %) below the
-record.  Regenerate the record with::
+MimicOS stream path), ``multicore_contention`` (two simulated cores
+sharing the LLC/DRAM) and ``virtualized_guest`` (2-D translation).  Every
+KIPS number is normalised by the benchmark's fixed calibration loop
+(``perfbench/calibration.py``), so the gates are absolute floors:
+
+* measured KIPS must stay within
+  :data:`~benchmarks.perf.kips_harness.REGRESSION_TOLERANCE` (30 %) of the
+  value recorded in ``BENCH_perf.json``;
+* measured and recorded KIPS must beat the retired per-instruction
+  engine's recorded KIPS (:data:`~benchmarks.perf.kips_harness
+  .LEGACY_ENGINE_KIPS`) — by the scenario's target speedup for the
+  recorded values;
+* every measured run must reproduce its pinned golden statistics digest.
+
+Regenerate the record with::
 
     PYTHONPATH=src python benchmarks/perf/kips_harness.py
+    PYTHONPATH=src python benchmarks/perf/parity_bench.py
     PYTHONPATH=src python benchmarks/perf/sweep.py
     PYTHONPATH=src python benchmarks/perf/service_bench.py
 
 Vectorised workload generation (numpy) is optional: the assertions that
 specifically concern the vectorised generators are skipped when numpy is
-absent, while the engine gates run either way (the pure-python fallback
+absent, while the KIPS gates run either way (the pure-python fallback
 emits identical instruction sequences).  The sweep host-scaling gate only
 fires when the digest was recorded on a multi-core host (a 1-CPU container
 cannot exhibit host scaling); the sweep *determinism* gate is always on.
@@ -30,13 +40,17 @@ import pytest
 from benchmarks.perf.kips_harness import (
     BENCH_PATH,
     FAULT_HEAVY_TARGET_SPEEDUP,
+    LEGACY_ENGINE_KIPS,
     MULTICORE_TARGET_SPEEDUP,
     REGRESSION_TOLERANCE,
     SEED_ENGINE_KIPS,
     VIRTUALIZED_TARGET_SPEEDUP,
+    code_size,
     run_scenario,
 )
+from benchmarks.perf.parity_bench import LEGACY_BACKEND_KIPS
 from repro.workloads.base import numpy_available, vectorization_enabled
+from tests.conftest import golden_digests
 
 pytestmark = pytest.mark.perf_smoke
 
@@ -47,144 +61,97 @@ def recorded_bench():
     return json.loads(BENCH_PATH.read_text())
 
 
-def test_gups_kips_no_regression():
-    recorded = recorded_bench()
-    row = recorded["scenarios"]["gups_smoke"]
-    recorded_after = row["after_kips"]
-    recorded_before = row["before_kips"]
-    assert recorded_after > 0 and recorded_before > 0
+def measure(name, repeats):
+    """Measure one scenario and check it still simulates the pinned statistics."""
+    measured = run_scenario(name, repeats=repeats)
+    assert measured["digest"] == golden_digests()["kips"][name], (
+        f"{name}: simulated statistics drifted from the pinned golden digest")
+    return measured
 
-    # Normalise the recorded floor by this host's speed: the legacy engine is
-    # a stable workload, so (measured legacy / recorded legacy) scales the
-    # record onto the current machine and the gate only fires on genuine
-    # fast-path regressions, not on running the suite on slower hardware.
-    measured_before = run_scenario("gups_smoke", "legacy", repeats=2)
-    host_scale = min(1.0, measured_before["kips"] / recorded_before)
 
-    measured = run_scenario("gups_smoke", "batch")
-    floor = recorded_after * host_scale * (1.0 - REGRESSION_TOLERANCE)
+def assert_kips_no_regression(name, repeats):
+    """Measured KIPS within tolerance of the record and above the old engine."""
+    row = recorded_bench()["scenarios"][name]
+    measured = measure(name, repeats)
+    floor = row["kips"] * (1.0 - REGRESSION_TOLERANCE)
     assert measured["kips"] >= floor, (
-        f"GUPS smoke KIPS regressed: measured {measured['kips']:.1f}, "
-        f"recorded {recorded_after:.1f} (host scale {host_scale:.2f}), "
-        f"floor {floor:.1f} "
+        f"{name} KIPS regressed: measured {measured['kips']:.1f} "
+        f"(raw {measured['raw_kips']:.1f}, host factor {measured['host_factor']}), "
+        f"recorded {row['kips']:.1f}, floor {floor:.1f} "
         f"(>{REGRESSION_TOLERANCE:.0%} below the BENCH_perf.json record)")
+    assert measured["kips"] > LEGACY_ENGINE_KIPS[name], (
+        f"{name}: {measured['kips']:.1f} KIPS no longer beats the retired "
+        f"per-instruction engine ({LEGACY_ENGINE_KIPS[name]:.1f})")
+    return measured
+
+
+def assert_record_meets_target(name, target):
+    """The recorded KIPS must be ``target`` times the retired engine's."""
+    row = recorded_bench()["scenarios"].get(name)
+    assert row is not None, f"BENCH_perf.json has no {name} scenario"
+    goal = target * LEGACY_ENGINE_KIPS[name]
+    assert row["kips"] >= goal, (
+        f"recorded {name} KIPS {row['kips']:.1f} is below {target}x the "
+        f"retired engine's {LEGACY_ENGINE_KIPS[name]:.1f} ({goal:.1f})")
+    return row
+
+
+def test_gups_kips_no_regression():
+    assert_kips_no_regression("gups_smoke", repeats=5)
 
 
 def test_fast_engine_beats_legacy_on_gups():
-    """The batch engine must stay meaningfully faster than the legacy engine."""
-    legacy = run_scenario("gups_smoke", "legacy", repeats=2)
-    batch = run_scenario("gups_smoke", "batch", repeats=2)
-    assert batch["fast_hits"] > 0, "VPN translation cache never hit on GUPS smoke"
-    assert batch["kips"] > legacy["kips"], (
-        f"batch engine ({batch['kips']:.1f} KIPS) is not faster than "
-        f"legacy ({legacy['kips']:.1f} KIPS)")
+    """The simulator must stay meaningfully faster than the retired
+    per-instruction engine, with the VPN translation cache engaged."""
+    measured = measure("gups_smoke", repeats=2)
+    assert measured["fast_hits"] > 0, "VPN translation cache never hit on GUPS smoke"
+    assert measured["kips"] > LEGACY_ENGINE_KIPS["gups_smoke"], (
+        f"{measured['kips']:.1f} KIPS is not faster than the retired engine's "
+        f"{LEGACY_ENGINE_KIPS['gups_smoke']:.1f}")
 
 
 def test_fault_heavy_record_meets_target():
-    """The recorded fault-heavy speedup must meet the kernel-batch target."""
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("llm_faults")
-    assert row is not None, "BENCH_perf.json predates the llm_faults scenario"
-    assert row["speedup"] >= FAULT_HEAVY_TARGET_SPEEDUP, (
-        f"recorded fault-heavy speedup {row['speedup']}x is below the "
-        f"{FAULT_HEAVY_TARGET_SPEEDUP}x kernel-batch target")
+    """The recorded fault-heavy KIPS must meet the kernel-batch target."""
+    row = assert_record_meets_target("llm_faults", FAULT_HEAVY_TARGET_SPEEDUP)
     # The scenario only isolates the kernel path if MimicOS dominates it.
-    after = row["after"]
-    assert after["kernel_instructions"] > 10 * after["instructions"]
+    assert row["kernel_instructions"] > 10 * row["instructions"]
 
 
 def test_fault_heavy_kips_no_regression():
-    """Measured fault-heavy KIPS must stay within tolerance of the record.
-
-    Same host-normalisation as the GUPS gate: the legacy engine scales the
-    record onto this machine so only genuine kernel-batch regressions fire.
-    """
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("llm_faults")
-    if row is None:
-        pytest.skip("BENCH_perf.json predates the llm_faults scenario")
-
-    measured_before = run_scenario("llm_faults", "legacy", repeats=2)
-    host_scale = min(1.0, measured_before["kips"] / row["before_kips"])
-    measured = run_scenario("llm_faults", "batch")
-    floor = row["after_kips"] * host_scale * (1.0 - REGRESSION_TOLERANCE)
-    assert measured["kips"] >= floor, (
-        f"fault-heavy KIPS regressed: measured {measured['kips']:.1f}, "
-        f"recorded {row['after_kips']:.1f} (host scale {host_scale:.2f}), "
-        f"floor {floor:.1f}")
-    assert measured["kips"] > measured_before["kips"], (
-        "batch engine lost to legacy on the kernel-dominated scenario")
+    assert_kips_no_regression("llm_faults", repeats=5)
 
 
 def test_multicore_record_meets_target():
-    """The recorded multi-core contention speedup must meet the target."""
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("multicore_contention")
-    assert row is not None, ("BENCH_perf.json predates the multicore_contention "
-                             "scenario; regenerate it with the KIPS harness")
+    """The recorded multi-core contention KIPS must meet the target."""
+    row = assert_record_meets_target("multicore_contention", MULTICORE_TARGET_SPEEDUP)
     assert row.get("cores", 1) >= 2, "multicore_contention must simulate >= 2 cores"
-    assert row["speedup"] >= MULTICORE_TARGET_SPEEDUP, (
-        f"recorded multi-core speedup {row['speedup']}x is below the "
-        f"{MULTICORE_TARGET_SPEEDUP}x multi-core batching target")
 
 
 def test_multicore_kips_no_regression():
-    """Measured multi-core KIPS must stay within tolerance of the record."""
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("multicore_contention")
-    if row is None:
-        pytest.skip("BENCH_perf.json predates the multicore_contention scenario")
-
-    measured_before = run_scenario("multicore_contention", "legacy", repeats=2)
-    host_scale = min(1.0, measured_before["kips"] / row["before_kips"])
-    measured = run_scenario("multicore_contention", "batch", repeats=2)
-    floor = row["after_kips"] * host_scale * (1.0 - REGRESSION_TOLERANCE)
-    assert measured["kips"] >= floor, (
-        f"multi-core KIPS regressed: measured {measured['kips']:.1f}, "
-        f"recorded {row['after_kips']:.1f} (host scale {host_scale:.2f}), "
-        f"floor {floor:.1f}")
-    assert measured["kips"] > measured_before["kips"], (
-        "batch engine lost to legacy on the multi-core scenario")
+    assert_kips_no_regression("multicore_contention", repeats=3)
 
 
 def test_virtualized_record_meets_target():
-    """The recorded virtualized-guest speedup must meet the target, with the
-    engines attested bit-identical on the full report."""
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("virtualized_guest")
-    assert row is not None, ("BENCH_perf.json predates the virtualized_guest "
-                             "scenario; regenerate it with the KIPS harness")
+    """The recorded virtualized-guest KIPS must meet the target."""
+    row = assert_record_meets_target("virtualized_guest", VIRTUALIZED_TARGET_SPEEDUP)
     assert row.get("virtualized") is True
-    assert row["speedup"] >= VIRTUALIZED_TARGET_SPEEDUP, (
-        f"recorded virtualized speedup {row['speedup']}x is below the "
-        f"{VIRTUALIZED_TARGET_SPEEDUP}x target")
-    assert row.get("parity_identical") is True, (
-        "virtualized_guest was recorded with diverging engines — run "
-        "python -m repro.validation.parity --virtualized and fix it")
     # Both kernels' streams must actually be injected: a virtualised run
     # without hypervisor work would not be testing the two-level path.
-    assert row["after"]["kernel_instructions"] > 0
+    assert row["kernel_instructions"] > 0
 
 
 def test_virtualized_kips_no_regression():
-    """Measured virtualized-guest KIPS must stay within tolerance of the
-    record (host-normalised through the legacy engine, like the other
-    gates)."""
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("virtualized_guest")
-    if row is None:
-        pytest.skip("BENCH_perf.json predates the virtualized_guest scenario")
+    assert_kips_no_regression("virtualized_guest", repeats=3)
 
-    measured_before = run_scenario("virtualized_guest", "legacy", repeats=2)
-    host_scale = min(1.0, measured_before["kips"] / row["before_kips"])
-    measured = run_scenario("virtualized_guest", "batch", repeats=2)
-    floor = row["after_kips"] * host_scale * (1.0 - REGRESSION_TOLERANCE)
-    assert measured["kips"] >= floor, (
-        f"virtualized KIPS regressed: measured {measured['kips']:.1f}, "
-        f"recorded {row['after_kips']:.1f} (host scale {host_scale:.2f}), "
-        f"floor {floor:.1f}")
-    assert measured["kips"] > measured_before["kips"], (
-        "batch engine lost to legacy on the virtualized scenario")
+
+def test_code_size_recorded():
+    """The record carries non-blank source lines per ``repro.<package>``."""
+    sizes = recorded_bench().get("code_size")
+    assert sizes, "BENCH_perf.json has no code_size section; run the KIPS harness"
+    packages = {name: lines for name, lines in sizes.items() if name != "total"}
+    assert set(packages) == set(code_size()) - {"total"}
+    assert all(isinstance(lines, int) and lines > 0 for lines in packages.values())
+    assert sizes["total"] == sum(packages.values())
 
 
 def test_seed_baselines_are_null_not_zero():
@@ -277,12 +244,12 @@ def test_backend_parity_digest_covers_the_zoo():
     """The per-backend trajectory must cover every design, parity-verified.
 
     The ``backend_parity`` section (written by
-    ``benchmarks/perf/parity_bench.py``) is the record that the batch
-    engine's speedup — and its bit-identity — holds on every translation
-    scheme, not just radix: at least five non-radix designs must carry a
-    batch-vs-legacy entry, every recorded backend must have verified
-    bit-identical engines, and the batch engine must not have been recorded
-    losing to legacy anywhere.
+    ``benchmarks/perf/parity_bench.py``) is the record that throughput —
+    and memo on/off bit-identity — holds on every translation scheme, not
+    just radix: at least five non-radix designs must carry an entry, every
+    recorded backend must have verified bit-identical memo-on/memo-off
+    runs, and no backend may have been recorded slower than the retired
+    per-instruction engine.
     """
     recorded = recorded_bench()
     digest = recorded.get("backend_parity")
@@ -296,12 +263,12 @@ def test_backend_parity_digest_covers_the_zoo():
         "trajectory must include at least 5 non-radix designs")
     for kind, row in backends.items():
         assert row["parity_identical"] is True, (
-            f"{kind}: recorded engines were NOT bit-identical — run "
-            "python -m repro.validation.parity --full and fix the divergence")
-        assert row["before_kips"] > 0 and row["after_kips"] > 0
-        assert row["speedup"] >= 1.0, (
-            f"{kind}: batch engine recorded slower than legacy "
-            f"({row['speedup']}x)")
+            f"{kind}: recorded memo-on/memo-off runs were NOT bit-identical — "
+            "run python -m repro.validation.parity --full and fix the divergence")
+        assert row["kips"] > 0
+        assert row["kips"] >= LEGACY_BACKEND_KIPS[kind], (
+            f"{kind}: recorded {row['kips']:.1f} KIPS, slower than the retired "
+            f"per-instruction engine ({LEGACY_BACKEND_KIPS[kind]:.1f})")
 
 
 def test_fuzz_campaign_digest_is_healthy():

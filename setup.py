@@ -6,7 +6,7 @@ setup(
     description="Virtuoso reproduction: imitation-based OS simulation for VM research",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     extras_require={
         # Optional numpy acceleration for the vectorised workload generators
         # (repro.workloads.base.set_vectorization); the pure-python fallback

@@ -225,13 +225,17 @@ class SimulationConfig:
     frontend: str = "trace"  # trace | execution | emulation | memory_only
     instrumentation: str = "online"  # online | offline | reuse_emulation
     max_instructions: Optional[int] = None
-    # Host-side execution engine: "batch" consumes array-backed instruction
-    # chunks through the allocation-free fast path; "legacy" executes one
-    # Instruction object at a time.  Simulated results are identical; the
-    # knob exists for the invariance tests and the KIPS harness baseline.
+    # Host-side execution engine.  "batch" (array-backed instruction chunks)
+    # is the only one; the field stays because existing callers pin it
+    # explicitly, e.g. replace(config.simulation, engine="batch").
     engine: str = "batch"
     # Instructions per chunk handed to CoreModel.execute_batch.
     batch_size: int = 4096
+
+    def __post_init__(self) -> None:
+        if self.engine != "batch":
+            raise ValueError(f"unknown execution engine {self.engine!r}; "
+                             f"the only engine is 'batch'")
 
 
 @dataclass(frozen=True)

@@ -129,8 +129,8 @@ class MMU:
         #: 2-D walk attribution (virtualised mode): the guest-dimension and
         #: host-dimension shares of every nested walk's latency, so
         #: per-backend parity can tell a slow guest table from a slow host
-        #: (extended) table.  Both engines feed these through the same
-        #: ``_walk`` call, so they are engine-invariant by construction.
+        #: (extended) table.  The VPN cache only serves L1 hits, so every
+        #: walk feeds these through the same ``_walk`` call, memo on or off.
         self.guest_ptw_latency_stats = RunningStats()
         self.host_ptw_latency_stats = RunningStats()
 
@@ -218,8 +218,8 @@ class MMU:
         currently running ``pid``'s address space act (context switches flush
         the TLBs, so other address spaces cannot be resident here).  The TLB
         ``version`` bump performed by the invalidation also keeps the VPN
-        translation cache honest, so both engines observe the unmap
-        identically.
+        translation cache honest, so the unmap is observed identically with
+        the cache on or off.
         """
         if pid != self.pid:
             return

@@ -7,9 +7,9 @@ generalises it the way riescue generalises directed page-map testing: a
 varied sizes, THP collapse, forced swap pressure, page migration, and (under
 virtualization) guest collapse and host remaps of guest-RAM backing — as
 :class:`~repro.workloads.schedule.OpSchedule` injections into workload
-execution, runs every scenario on **both** engines across sampled
-backend × cores × THP/swap/virtualization configurations, and diffs the full
-statistics reports with the PR 4 oracle
+execution, runs every scenario with the MMU's VPN memo **off and on** across
+sampled backend × cores × THP/swap/virtualization configurations, and diffs
+the full statistics reports with the parity oracle
 (:func:`repro.validation.parity.flatten_stats` / ``diff_stats``).
 
 * **Coverage** is tracked over (consecutive op-pair × backend) and
@@ -55,12 +55,12 @@ from repro.common.config import (
 from repro.common.rng import DeterministicRNG
 from repro.pagetables.factory import nested_capable_kinds, registered_kinds
 from repro.validation import corpus
-from repro.validation.parity import diff_stats, flatten_stats
+from repro.validation.parity import diff_stats, flatten_stats, memo_extensions, stats_digest
 from repro.workloads.schedule import KernelOpSpec, OpSchedule, ScheduledWorkload
 
 #: Content-address schema for fuzz jobs in the experiment-service store
 #: (bump when the scenario or digest layout changes incompatibly).
-FUZZ_JOB_SCHEMA = "fuzz_scenario/v1"
+FUZZ_JOB_SCHEMA = "fuzz_scenario/v2"
 
 #: The kernel ops the generator draws from.  ``migrate`` is single-core
 #: only (multi-core migration is the orchestrator's own axis) and
@@ -163,7 +163,7 @@ def scenario_key(scenario: FuzzScenario) -> str:
 
 
 def scenario_seed(scenario: FuzzScenario) -> int:
-    """Deterministic simulator seed, identical for both engines.
+    """Deterministic simulator seed, identical for both runs of a scenario.
 
     Derived from the *config* only, so shrinking the op schedule never
     perturbs the workload's RNG stream — the shrinker removes ops from an
@@ -178,7 +178,7 @@ def scenario_seed(scenario: FuzzScenario) -> int:
 # --------------------------------------------------------------------- #
 # System construction
 # --------------------------------------------------------------------- #
-def build_fuzz_config(config: FuzzConfig, engine: str) -> SystemConfig:
+def build_fuzz_config(config: FuzzConfig) -> SystemConfig:
     """The system one fuzz scenario simulates (parity-sized, sub-second).
 
     Unlike the parity lattice, *every* fuzz system gets host swap capacity
@@ -205,7 +205,7 @@ def build_fuzz_config(config: FuzzConfig, engine: str) -> SystemConfig:
             guest_thp_policy="linux" if config.thp else "never",
             guest_swap_size_bytes=16 * MB,
             nested_tlb_entries=1024))
-    return system.with_simulation(replace(system.simulation, engine=engine))
+    return system
 
 
 class KernelOpExecutor:
@@ -216,8 +216,8 @@ class KernelOpExecutor:
     error — so the shrinker can drop arbitrary subsets and the config
     shrink can turn virtualization off without invalidating the schedule.
     The applied/skipped counters are folded into the diffed statistics, so
-    an engine pair that somehow disagrees about op applicability is itself
-    reported as a divergence.
+    a memo-on/memo-off pair that somehow disagrees about op applicability is
+    itself reported as a divergence.
     """
 
     def __init__(self, kernel, fault_handler: Callable, clock: Callable[[], int],
@@ -333,26 +333,29 @@ class KernelOpExecutor:
 # --------------------------------------------------------------------- #
 # Running one scenario (the oracle)
 # --------------------------------------------------------------------- #
-def _run_scenario_engine(scenario: FuzzScenario, engine: str) -> Dict[str, object]:
+def run_scenario_stats(scenario: FuzzScenario, memo: bool = True) -> Dict[str, object]:
+    """Simulate one scenario (VPN memo on or off); its flattened statistics
+    plus the applied/skipped kernel-op counters."""
     # Imports inside the worker entry point, as the service pattern demands.
     from repro.core.multicore import MultiCoreVirtuoso
     from repro.core.virtuoso import Virtuoso
     from repro.workloads.registry import build_workload
 
-    system_config = build_fuzz_config(scenario.config, engine)
+    system_config = build_fuzz_config(scenario.config)
     seed = scenario_seed(scenario)
+    extensions = memo_extensions(memo)
     registry_name, kwargs, _span = FUZZ_FAMILIES[scenario.config.family]
     wrapped = ScheduledWorkload(build_workload(registry_name, **kwargs),
                                 scenario.schedule)
     if scenario.config.cores > 1:
         system = MultiCoreVirtuoso(system_config, num_cores=scenario.config.cores,
-                                   seed=seed)
+                                   seed=seed, mmu_extensions=extensions)
         executor = KernelOpExecutor.for_system(system)
         wrapped.bind(executor)
         co_name, co_kwargs = CO_RUNNER
         report = system.run([wrapped, build_workload(co_name, **co_kwargs)]).merged
     else:
-        system = Virtuoso(system_config, seed=seed)
+        system = Virtuoso(system_config, seed=seed, mmu_extensions=extensions)
         executor = KernelOpExecutor.for_system(system)
         wrapped.bind(executor)
         report = system.run(wrapped)
@@ -368,28 +371,29 @@ def _crash_signature(error: Exception) -> Dict[str, object]:
 
 def run_fuzz_scenario(raw_scenario: Dict[str, object],
                       max_diffs: int = 120) -> Dict[str, object]:
-    """Run one scenario on both engines and classify: the fuzz oracle.
+    """Run one scenario memo off and memo on and classify: the fuzz oracle.
 
     Takes and returns plain JSON-able dicts so it can serve directly as an
     experiment-service worker.  Outcomes:
 
-    * ``identical`` — both engines ran, all compared fields equal;
+    * ``identical`` — both runs finished, all compared fields equal
+      (``stats_digest`` then pins the statistics for the golden check);
     * ``divergence`` — field mismatch, one-sided crash, or both sides
       crashing *differently*;
-    * ``crash`` — both engines crashed with the same signature (a real bug,
-      but not an engine divergence; classified, never banked).
+    * ``crash`` — both runs crashed with the same signature (a real bug,
+      but not a memo divergence; classified, never banked).
     """
     scenario = FuzzScenario.from_json(raw_scenario)
     start = time.perf_counter()
-    stats: Dict[str, Optional[Dict[str, object]]] = {}
-    crashes: Dict[str, Optional[Dict[str, object]]] = {}
-    for engine in ("legacy", "batch"):
+    stats: Dict[bool, Optional[Dict[str, object]]] = {}
+    crashes: Dict[bool, Optional[Dict[str, object]]] = {}
+    for memo in (False, True):
         try:
-            stats[engine] = _run_scenario_engine(scenario, engine)
-            crashes[engine] = None
+            stats[memo] = run_scenario_stats(scenario, memo)
+            crashes[memo] = None
         except Exception as error:  # crash/assert: caught and classified
-            stats[engine] = None
-            crashes[engine] = _crash_signature(error)
+            stats[memo] = None
+            crashes[memo] = _crash_signature(error)
     digest: Dict[str, object] = {
         "scenario": scenario.to_json(),
         "point": scenario.name,
@@ -397,35 +401,37 @@ def run_fuzz_scenario(raw_scenario: Dict[str, object],
         "divergence": None,
         "crash": None,
         "diffs": [],
+        "stats_digest": None,
         "host_seconds": round(time.perf_counter() - start, 4),
     }
-    legacy_crash, batch_crash = crashes["legacy"], crashes["batch"]
-    if legacy_crash is not None and batch_crash is not None:
-        if legacy_crash == batch_crash:
+    reference_crash, fast_crash = crashes[False], crashes[True]
+    if reference_crash is not None and fast_crash is not None:
+        if reference_crash == fast_crash:
             digest["outcome"] = "crash"
-            digest["crash"] = legacy_crash
+            digest["crash"] = reference_crash
         else:
             digest["outcome"] = "divergence"
             digest["divergence"] = {
                 "point": scenario.name, "field": "crash",
-                "legacy_value": legacy_crash, "batch_value": batch_crash,
+                "reference_value": reference_crash, "fast_value": fast_crash,
                 "diverging_fields": 1}
         return digest
-    if legacy_crash is not None or batch_crash is not None:
+    if reference_crash is not None or fast_crash is not None:
         digest["outcome"] = "divergence"
         digest["divergence"] = {
             "point": scenario.name, "field": "crash",
-            "legacy_value": legacy_crash or "ok",
-            "batch_value": batch_crash or "ok",
+            "reference_value": reference_crash or "ok",
+            "fast_value": fast_crash or "ok",
             "diverging_fields": 1}
         return digest
-    diffs = diff_stats(stats["legacy"], stats["batch"])
+    digest["stats_digest"] = stats_digest(stats[True])
+    diffs = diff_stats(stats[False], stats[True])
     if diffs:
-        field, legacy_value, batch_value = diffs[0]
+        field, reference_value, fast_value = diffs[0]
         digest["outcome"] = "divergence"
         digest["divergence"] = {
             "point": scenario.name, "field": field,
-            "legacy_value": legacy_value, "batch_value": batch_value,
+            "reference_value": reference_value, "fast_value": fast_value,
             "diverging_fields": len(diffs)}
         digest["diffs"] = [list(d) for d in diffs[:max_diffs]]
     return digest
@@ -589,7 +595,7 @@ def shrink_scenario(scenario: FuzzScenario,
 
     First greedily drops ops to a fixpoint, then simplifies config axes
     toward the vanilla point; every candidate is verified with the same
-    both-engine oracle the replay path uses.  ``max_checks`` bounds the
+    memo-off/memo-on oracle the replay path uses.  ``max_checks`` bounds the
     oracle invocations (each is two full simulations).  Returns the shrunk
     scenario and the number of oracle calls spent.
     """
@@ -744,17 +750,17 @@ def format_replay(entry: Dict[str, object], digest: Dict[str, object],
         return "\n".join(lines)
     lines.append(f"verdict:    {digest['outcome'].upper()}")
     if digest["outcome"] == "crash":
-        lines.append(f"  both engines crashed: {digest['crash']}")
+        lines.append(f"  both runs crashed: {digest['crash']}")
         return "\n".join(lines)
     diffs = digest.get("diffs") or []
     divergence = digest["divergence"]
     if not diffs:
-        diffs = [[divergence["field"], divergence["legacy_value"],
-                  divergence["batch_value"]]]
+        diffs = [[divergence["field"], divergence["reference_value"],
+                  divergence["fast_value"]]]
     lines.append(f"  {divergence['diverging_fields']} diverging fields "
                  f"(showing {min(len(diffs), max_fields)}):")
-    for field, legacy_value, batch_value in diffs[:max_fields]:
-        lines.append(f"    {field}: legacy={legacy_value!r} batch={batch_value!r}")
+    for field, reference_value, fast_value in diffs[:max_fields]:
+        lines.append(f"    {field}: memo off={reference_value!r} memo on={fast_value!r}")
     return "\n".join(lines)
 
 
@@ -784,26 +790,30 @@ def apply_sensitivity_toggle(name: str) -> Callable[[], None]:
 
     The same known-bug toggles the parity harness sensitivity tests use:
     ``shootdown`` unhooks kernel TLB shootdowns from the MMU, ``nested``
-    no-ops the INVEPT-style nested invalidations.  For fuzzer self-tests
-    only — the toggle corrupts every system built until undone.
+    no-ops every nested (2-D) invalidation — the per-page nested-TLB drop,
+    the nested-unit flush and the INVEPT-style combined-mapping flush.  For
+    self-tests only — the toggle corrupts every system built until undone.
     """
     from repro.mimicos.kernel import MimicOS
     from repro.mmu.mmu import MMU
+    from repro.mmu.nested import NestedTranslationUnit
 
     if name == "shootdown":
-        original = MimicOS.register_tlb_listener
-        MimicOS.register_tlb_listener = lambda self, listener: None
-
-        def undo() -> None:
-            MimicOS.register_tlb_listener = original
+        patches = [(MimicOS, "register_tlb_listener", lambda self, listener: None)]
     elif name == "nested":
-        original = MMU.invalidate_nested_translations
-        MMU.invalidate_nested_translations = lambda self: None
-
-        def undo() -> None:
-            MMU.invalidate_nested_translations = original
+        patches = [(NestedTranslationUnit, "invalidate", lambda self, guest_virtual: None),
+                   (NestedTranslationUnit, "flush", lambda self: None),
+                   (MMU, "invalidate_nested_translations", lambda self: None)]
     else:
         raise ValueError(f"unknown sensitivity toggle {name!r}")
+    originals = [(owner, attribute, getattr(owner, attribute))
+                 for owner, attribute, _ in patches]
+    for owner, attribute, replacement in patches:
+        setattr(owner, attribute, replacement)
+
+    def undo() -> None:
+        for owner, attribute, original in originals:
+            setattr(owner, attribute, original)
     return undo
 
 
@@ -814,7 +824,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.validation.fuzz",
         description="Coverage-guided kernel-op scenario fuzzer "
-                    "(batch-vs-legacy differential oracle)")
+                    "(VPN-memo on-vs-off differential oracle)")
     parser.add_argument("--budget", type=int, default=40, metavar="N",
                         help="scenarios to run (default 40)")
     parser.add_argument("--seed", type=int, default=2025,
@@ -886,7 +896,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  {label} {name}")
     for raw in summary["divergences"]:
         print(f"  DIVERGENCE {raw['point']}: {raw['field']} "
-              f"(legacy={raw['legacy_value']!r}, batch={raw['batch_value']!r})")
+              f"(memo off={raw['reference_value']!r}, memo on={raw['fast_value']!r})")
     return 1 if summary["divergences"] else 0
 
 

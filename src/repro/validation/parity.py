@@ -1,10 +1,14 @@
-"""Differential parity matrix: batch vs legacy engine across the whole zoo.
+"""Differential parity matrix: VPN memo on vs off across the whole zoo.
 
-The fast/batch execution engine (PRs 1-3) is only trustworthy if it is
-bit-identical to the legacy per-object engine *everywhere*, not just on the
-radix-centric scenarios the KIPS harness watches.  This module is the
-McKeeman-style differential-testing subsystem that enforces that: it
-enumerates a configuration lattice —
+The MMU's VPN translation cache (``MMUExtensions.vpn_translation_cache``)
+memoises repeat L1-TLB hits so the hot loop can skip the TLB objects.  It
+is the risky part of the simulator: every divergence this harness has
+caught was a disagreement between the memo and the slow TLB path
+(stale remaps, nested staleness, nested-TLB coverage).  Following the
+"two implementations of the risky part only" idiom, this module runs each
+point of a configuration lattice twice — memo on and memo off, under
+identical seeds — and diffs the full statistics report field by field.
+The lattice spans
 
 * every registered page-table design
   (:func:`repro.pagetables.factory.registered_kinds`),
@@ -18,25 +22,26 @@ enumerates a configuration lattice —
   guest-backend x host-backend subset (guest MimicOS over a hypervisor
   MimicOS, 2-D translation with a nested TLB, two-level shootdowns —
   including host-swap-pressure points where hypervisor reclaim remaps the
-  frames backing guest RAM),
+  frames backing guest RAM).
 
-— runs each point once per engine under identical seeds, and diffs the full
-statistics report field by field.  A mismatch produces a structured
-:class:`DivergenceRecord` (the configuration, the first diverging counter in
-sorted order and both values) rather than a bare assert, so a failure names
-the exact configuration and statistic to chase.
+A mismatch produces a structured :class:`DivergenceRecord` (the
+configuration, the first diverging counter in sorted order and both values)
+rather than a bare assert, so a failure names the exact configuration and
+statistic to chase.  A two-sided diff cannot see drift in the layers both
+sides share (caches, DRAM, MimicOS), so every run also yields a
+:func:`stats_digest` that the tier-1 tests compare against the pinned
+digests in ``tests/golden/``.
 
-Three consumers:
+Consumers:
 
 * ``tests/test_parity_matrix.py`` — an always-on tier-1 sampler over a
-  seeded ~40-point subset of the lattice (kept well under 30 s);
+  seeded ~40-point subset of the lattice;
 * ``python -m repro.validation.parity --full`` — the full matrix, fanned
   across host processes by the fault-tolerant experiment service
   (:mod:`repro.experiments.service`; ``--store DIR`` makes the run
   resumable and caches every completed point content-addressed);
-* ``benchmarks/perf/parity_bench.py`` — records per-backend batch-vs-legacy
-  speedups into ``BENCH_perf.json`` so the perf trajectory covers every
-  design, not just radix.
+* ``benchmarks/perf/parity_bench.py`` — records per-backend KIPS, each
+  backend parity-verified, into ``BENCH_perf.json``.
 """
 
 from __future__ import annotations
@@ -59,9 +64,10 @@ from repro.common.config import (
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import LatencyDistribution
 from repro.core.report import SimulationReport
+from repro.mmu.extensions import MMUExtensions
 from repro.pagetables.factory import nested_capable_kinds, registered_kinds
 
-#: Keys whose values legitimately differ between engines (host-side timing
+#: Keys whose values legitimately differ between runs (host-side timing
 #: and fast-path diagnostics) and are therefore excluded from the diff.
 HOST_ONLY_KEYS = ("host_seconds", "fast_path", "kips")
 
@@ -80,7 +86,7 @@ WORKLOAD_FAMILIES: Dict[str, Tuple[str, Dict[str, object]]] = {
     # 4 KB guest faults, so guest khugepaged collapses the touched 2 MB
     # region *mid-run* and the hot phase then re-touches it — the sequence
     # that turns a missing nested-TLB invalidation into stale 4 KB combined
-    # translations shadowed differently by the two engines.
+    # translations shadowed differently by the memo and the TLB path.
     "guestmix": ("GuestMix", {"footprint_bytes": 4 * MB, "vma_bytes": 256 << 10,
                               "interleave_regions": 2, "mix_per_cold": 2,
                               "hot_operations": 1500, "seed": 7}),
@@ -99,7 +105,7 @@ VIRTUALIZED_MULTICORE_SCENARIO = ("virtualized_guests",
 
 @dataclass(frozen=True)
 class ParityPoint:
-    """One lattice configuration, compared across both engines.
+    """One lattice configuration, compared with the VPN memo on and off.
 
     ``page_table_kind`` is the native design — or, on virtualised points,
     the *host* (extended/nested) design backing guest RAM, with
@@ -129,20 +135,22 @@ class ParityPoint:
 
 @dataclass
 class DivergenceRecord:
-    """A batch-vs-legacy mismatch: where it happened and what diverged."""
+    """A memo-off vs memo-on mismatch: where it happened and what diverged."""
 
     point: str
     #: First diverging statistic in sorted field order.
     field: str
-    legacy_value: object
-    batch_value: object
+    #: Its value with the VPN memo off (the reference TLB path) ...
+    reference_value: object
+    #: ... and with the memo on.
+    fast_value: object
     #: Total number of diverging fields (the first is usually the cause,
     #: the rest downstream fallout).
     diverging_fields: int
 
     def __str__(self) -> str:
         return (f"{self.point}: {self.field} diverged "
-                f"(legacy={self.legacy_value!r}, batch={self.batch_value!r}; "
+                f"(memo off={self.reference_value!r}, memo on={self.fast_value!r}; "
                 f"{self.diverging_fields} fields total)")
 
 
@@ -241,11 +249,11 @@ def sample_lattice(size: int = 40, seed: int = 2025) -> List[ParityPoint]:
 # Running one point
 # --------------------------------------------------------------------- #
 def point_seed(point: ParityPoint) -> int:
-    """Deterministic per-point seed, identical for both engines."""
+    """Deterministic per-point seed, identical for both runs of a point."""
     return zlib.crc32(point.name.encode("utf-8")) & 0x7FFFFFFF
 
 
-def build_config(point: ParityPoint, engine: str) -> SystemConfig:
+def build_config(point: ParityPoint) -> SystemConfig:
     """The (small) system configuration one parity point simulates.
 
     Swap pressure is created the way the kernel actually meets it: a small
@@ -286,10 +294,16 @@ def build_config(point: ParityPoint, engine: str) -> SystemConfig:
             # makes a *stale* nested entry reachable at all, which the
             # nested-invalidation sensitivity test depends on.
             nested_tlb_entries=1024))
-    return config.with_simulation(replace(config.simulation, engine=engine))
+    return config
 
 
-def _run_engine(point: ParityPoint, engine: str) -> SimulationReport:
+def memo_extensions(memo: bool) -> Optional[MMUExtensions]:
+    """The MMU extension set of one side of the oracle (None = defaults)."""
+    return None if memo else MMUExtensions(vpn_translation_cache=False)
+
+
+def run_point(point: ParityPoint, memo: bool = True) -> SimulationReport:
+    """Simulate one lattice point, with the VPN memo on or off."""
     # Imports live inside the worker entry point (the pool pattern the
     # sweep runner established) so workers are self-reliant.
     from repro.core.multicore import MultiCoreVirtuoso
@@ -297,15 +311,17 @@ def _run_engine(point: ParityPoint, engine: str) -> SimulationReport:
     from repro.workloads.multiproc import build_multiprocess_scenario
     from repro.workloads.registry import build_workload
 
-    config = build_config(point, engine)
+    config = build_config(point)
     seed = point_seed(point)
+    extensions = memo_extensions(memo)
     if point.cores > 1:
         scenario, kwargs = (VIRTUALIZED_MULTICORE_SCENARIO if point.virtualized
                             else MULTICORE_SCENARIO)
-        system = MultiCoreVirtuoso(config, num_cores=point.cores, seed=seed)
+        system = MultiCoreVirtuoso(config, num_cores=point.cores, seed=seed,
+                                   mmu_extensions=extensions)
         return system.run(build_multiprocess_scenario(scenario, **kwargs)).merged
     workload_name, kwargs = WORKLOAD_FAMILIES[point.family]
-    system = Virtuoso(config, seed=seed)
+    system = Virtuoso(config, seed=seed, mmu_extensions=extensions)
     return system.run(build_workload(workload_name, **kwargs))
 
 
@@ -313,7 +329,7 @@ def flatten_stats(report: SimulationReport) -> Dict[str, object]:
     """Every simulated statistic of a report as a flat ``path -> value`` map.
 
     Host-side values (wall-clock timings, VPN-cache diagnostics) are
-    excluded: they differ between engines by design.
+    excluded: they differ between runs by design.
     """
     flat: Dict[str, object] = {}
 
@@ -353,33 +369,37 @@ def stats_digest(report_or_stats) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def diff_stats(legacy: Dict[str, object],
-               batch: Dict[str, object]) -> List[Tuple[str, object, object]]:
+def diff_stats(reference: Dict[str, object],
+               fast: Dict[str, object]) -> List[Tuple[str, object, object]]:
     """Fields whose values differ, in sorted field order."""
-    return [(field, legacy.get(field), batch.get(field))
-            for field in sorted(set(legacy) | set(batch))
-            if legacy.get(field) != batch.get(field)]
+    return [(field, reference.get(field), fast.get(field))
+            for field in sorted(set(reference) | set(fast))
+            if reference.get(field) != fast.get(field)]
 
 
 def run_parity_point(point: ParityPoint) -> Dict[str, object]:
-    """Run one point on both engines and diff; returns a picklable digest."""
+    """Run one point memo off and memo on and diff; returns a picklable digest.
+
+    ``stats_digest`` pins the memo-on statistics for the golden check.
+    """
     start = time.perf_counter()
-    legacy = flatten_stats(_run_engine(point, "legacy"))
-    batch = flatten_stats(_run_engine(point, "batch"))
-    diffs = diff_stats(legacy, batch)
+    reference = flatten_stats(run_point(point, memo=False))
+    fast = flatten_stats(run_point(point, memo=True))
+    diffs = diff_stats(reference, fast)
     digest: Dict[str, object] = {
         "point": point.name,
         "config": asdict(point),
         "identical": not diffs,
-        "fields_compared": len(set(legacy) | set(batch)),
+        "fields_compared": len(set(reference) | set(fast)),
+        "stats_digest": stats_digest(fast),
         "host_seconds": round(time.perf_counter() - start, 4),
         "divergence": None,
     }
     if diffs:
-        field, legacy_value, batch_value = diffs[0]
+        field, reference_value, fast_value = diffs[0]
         digest["divergence"] = asdict(DivergenceRecord(
-            point=point.name, field=field, legacy_value=legacy_value,
-            batch_value=batch_value, diverging_fields=len(diffs)))
+            point=point.name, field=field, reference_value=reference_value,
+            fast_value=fast_value, diverging_fields=len(diffs)))
     return digest
 
 
@@ -396,7 +416,7 @@ def divergence_of(digest: Dict[str, object]) -> Optional[DivergenceRecord]:
 # --------------------------------------------------------------------- #
 #: Content-address schema tag for parity jobs in the experiment service's
 #: result store (bump when the parity digest layout changes).
-PARITY_JOB_SCHEMA = "parity_point/v1"
+PARITY_JOB_SCHEMA = "parity_point/v2"
 
 
 def parity_job_key(point: ParityPoint) -> str:
@@ -414,8 +434,8 @@ def run_matrix(points: Sequence[ParityPoint],
 
     Execution rides the fault-tolerant experiment service
     (:class:`~repro.experiments.service.ExperimentService`): points are
-    picklable, each worker builds both systems itself, and results are
-    merged in submission order, so the summary is byte-identical for any
+    picklable, each worker builds a point's two systems itself, and results
+    are merged in submission order, so the summary is byte-identical for any
     worker count.  With ``store_root`` every completed point lands
     content-addressed in a result store and a killed ``--full`` run
     resumes from its journal, re-running only the missing points.  With
@@ -456,7 +476,7 @@ def run_matrix(points: Sequence[ParityPoint],
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.validation.parity",
-        description="Differential batch-vs-legacy parity across the page-table zoo")
+        description="Differential VPN-memo on-vs-off parity across the page-table zoo")
     parser.add_argument("--full", action="store_true",
                         help="run the full lattice (default: the tier-1 sample)")
     parser.add_argument("--virtualized", action="store_true",

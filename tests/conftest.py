@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
 from repro.common.addresses import MB
@@ -19,6 +23,15 @@ from repro.mimicos.kernel import MimicOS
 
 
 TINY_MEMORY_BYTES = 256 * MB
+
+#: Pinned statistics digests (see tests/golden/regenerate.py).
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "stats_digests.json"
+
+
+@lru_cache(maxsize=1)
+def golden_digests() -> dict:
+    """The pinned ``lattice`` / ``corpus`` / ``kips`` digest sections."""
+    return json.loads(GOLDEN_PATH.read_text())
 
 
 def tiny_mimicos_config(**overrides) -> MimicOSConfig:

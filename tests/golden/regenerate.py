@@ -28,29 +28,22 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "stats_digests.json"
 sys.path.insert(0, str(ROOT))
 
 from repro.validation import corpus  # noqa: E402
-from repro.validation.fuzz import FuzzScenario, _run_scenario_engine  # noqa: E402
-from repro.validation.parity import _run_engine, full_lattice, stats_digest  # noqa: E402
+from repro.validation.fuzz import FuzzScenario, run_scenario_stats  # noqa: E402
+from repro.validation.parity import full_lattice, run_point, stats_digest  # noqa: E402
 
 
 def lattice_digest(point) -> str:
-    return stats_digest(_run_engine(point, "batch"))
+    return stats_digest(run_point(point))
 
 
 def corpus_digest(raw_scenario) -> str:
-    return stats_digest(_run_scenario_engine(FuzzScenario.from_json(raw_scenario), "batch"))
+    return stats_digest(run_scenario_stats(FuzzScenario.from_json(raw_scenario)))
 
 
 def kips_digest(name: str) -> str:
-    from benchmarks.perf.kips_harness import SCENARIOS, perf_config
-    from repro.core.multicore import MultiCoreVirtuoso
-    from repro.core.virtuoso import Virtuoso
+    from benchmarks.perf.kips_harness import run_scenario_once
 
-    scenario = SCENARIOS[name]
-    config = perf_config("batch", scenario.os_mode, scenario.virtualized)
-    if scenario.cores > 1:
-        system = MultiCoreVirtuoso(config, num_cores=scenario.cores, seed=7)
-        return stats_digest(system.run(scenario.factory()).merged)
-    return stats_digest(Virtuoso(config, seed=7).run(scenario.factory()))
+    return stats_digest(run_scenario_once(name)[0])
 
 
 def compute(workers: int = 2) -> Dict[str, Dict[str, str]]:

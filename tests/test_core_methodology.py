@@ -12,7 +12,17 @@ from repro.core.channels import (
     PageFaultResponse,
 )
 from repro.core.cpu import CoreModel
-from repro.core.instructions import Instruction, InstructionKind, InstructionStream
+from repro.core.instructions import (
+    OP_ALU,
+    OP_LOAD,
+    OP_MAGIC,
+    OP_REP,
+    OP_STORE,
+    Instruction,
+    InstructionBatch,
+    InstructionKind,
+    KernelInstructionBatch,
+)
 from repro.core.instrumentation import InstrumentationTool
 from repro.core.modes import (
     EmulationCoupling,
@@ -39,13 +49,27 @@ class TestInstructions:
         assert store.is_memory and store.is_write
         assert not alu.is_memory
 
-    def test_stream_accounting(self):
-        stream = InstructionStream("s")
-        stream.append(Instruction(InstructionKind.ALU))
-        stream.extend([Instruction(InstructionKind.LOAD, memory_address=0x0),
-                       Instruction(InstructionKind.STORE, memory_address=0x40)])
-        assert len(stream) == 3
-        assert stream.memory_instructions == 2
+    def test_batch_accounting(self):
+        batch = InstructionBatch()
+        batch.append_instruction(Instruction(InstructionKind.ALU, pc=4))
+        batch.append(OP_LOAD, 8, 0x0)
+        batch.append_instruction(Instruction(InstructionKind.STORE, pc=12,
+                                             memory_address=0x40))
+        assert len(batch) == 3
+        assert batch.kinds == [OP_ALU, OP_LOAD, OP_STORE]
+        assert batch.pcs == [4, 8, 12]
+        assert batch.addresses == [None, 0x0, 0x40]
+
+    def test_kernel_batch_accounting(self):
+        batch = KernelInstructionBatch("k")
+        batch.append(OP_ALU, 0)
+        batch.append(OP_ALU, 4, repeat=512)
+        batch.append(OP_LOAD, 8, 0x0)
+        batch.append(OP_STORE, 12, 0x40)
+        assert len(batch) == 4
+        assert batch.kinds == [OP_ALU, OP_REP, OP_LOAD, OP_STORE]
+        assert batch.rep_values == [512]
+        assert batch.addresses == [None, None, 0x0, 0x40]
 
 
 class TestKernelTrace:
@@ -91,13 +115,19 @@ class TestChannels:
 
     def test_instruction_channel_appends_magic_terminator(self):
         channel = InstructionStreamChannel()
-        stream = InstructionStream("pf")
-        stream.append(Instruction(InstructionKind.ALU))
-        channel.push(stream)
+        batch = KernelInstructionBatch("pf")
+        batch.append(OP_ALU, 0)
+        channel.push_batch(batch)
         delivered = channel.pop()
-        assert delivered.instructions[-1].kind == InstructionKind.MAGIC
+        assert delivered.kinds[-1] == OP_MAGIC
         assert channel.total_instructions == 1
         assert channel.pop() is None
+
+    def test_instruction_channel_checks_routing(self):
+        channel = InstructionStreamChannel()
+        channel.push_batch(KernelInstructionBatch("pf"), destination=1)
+        with pytest.raises(RuntimeError, match="routed to core 1"):
+            channel.pop_for(0)
 
 
 class TestInstrumentation:
@@ -107,7 +137,7 @@ class TestInstrumentation:
         small.new_op("buddy_alloc", work_units=1)
         large = KernelRoutineTrace("f")
         large.new_op("buddy_alloc", work_units=50)
-        assert len(tool.expand(large)) > len(tool.expand(small))
+        assert len(tool.expand_batch(large)) > len(tool.expand_batch(small))
 
     def test_memory_touches_become_memory_instructions(self):
         tool = InstrumentationTool()
@@ -115,33 +145,34 @@ class TestInstrumentation:
         op = trace.new_op("pt_update", work_units=2)
         op.touch(0x1000, is_write=True)
         op.touch(0x2000, is_write=False)
-        stream = tool.expand(trace)
-        memory_ops = [i for i in stream if i.is_memory]
+        batch = tool.expand_batch(trace)
+        memory_ops = [(op, address) for op, address in zip(batch.kinds, batch.addresses)
+                      if op in (OP_LOAD, OP_STORE) and address is not None]
         assert len(memory_ops) == 2
-        assert {i.memory_address for i in memory_ops} == {0x1000, 0x2000}
-        assert all(i.is_kernel for i in stream)
+        assert set(memory_ops) == {(OP_STORE, 0x1000), (OP_LOAD, 0x2000)}
 
     def test_bulk_zeroing_stays_compact_but_expensive(self):
         tool = InstrumentationTool()
         trace = KernelRoutineTrace("f")
         op = trace.new_op("zero_page", work_units=32768)
         op.touch(0x1000, is_write=True)
-        stream = tool.expand(trace)
-        assert len(stream) < 100
-        assert any(i.repeat >= 32768 for i in stream)
+        batch = tool.expand_batch(trace)
+        assert len(batch) < 100
+        assert batch.kinds.count(OP_REP) == len(batch.rep_values)
+        assert any(repeat >= 32768 for repeat in batch.rep_values)
 
     def test_pathological_op_capped(self):
         tool = InstrumentationTool()
         trace = KernelRoutineTrace("f")
         trace.new_op("ech_resize", work_units=10 ** 6)
-        stream = tool.expand(trace)
-        assert len(stream) <= tool.MAX_COMPUTE_PER_OP + 10
+        batch = tool.expand_batch(trace)
+        assert len(batch) <= tool.MAX_COMPUTE_PER_OP + 10
 
     def test_full_system_factor_inflates_streams(self):
         trace = KernelRoutineTrace("f")
         trace.new_op("buddy_alloc", work_units=10)
-        normal = InstrumentationTool().expand(trace)
-        inflated = InstrumentationTool(full_system_factor=3.0).expand(trace)
+        normal = InstrumentationTool().expand_batch(trace)
+        inflated = InstrumentationTool(full_system_factor=3.0).expand_batch(trace)
         assert len(inflated) > len(normal)
 
     def test_memory_overhead_factors(self):
@@ -164,54 +195,79 @@ def build_core(config=None):
     return core, mmu, table, memory
 
 
+def one_instruction(op, address=None) -> InstructionBatch:
+    batch = InstructionBatch()
+    batch.append(op, 0x400000, address)
+    return batch
+
+
 class TestCoreModel:
     def test_non_memory_instruction_costs_base_cpi(self):
         core, _, _, _ = build_core()
-        consumed = core.execute(Instruction(InstructionKind.ALU))
-        assert consumed == pytest.approx(core.config.base_cpi)
+        assert core.execute_batch(one_instruction(OP_ALU)) == 1
+        assert core.cycles == pytest.approx(core.config.base_cpi)
         assert core.instructions == 1
 
     def test_memory_instruction_adds_stalls(self):
         core, _, table, _ = build_core()
         table.insert(0x1000, 0xA000, PAGE_SIZE_4K)
-        consumed = core.execute(Instruction(InstructionKind.LOAD, memory_address=0x1000))
-        assert consumed > core.config.base_cpi
+        core.execute_batch(one_instruction(OP_LOAD, 0x1000))
+        assert core.cycles > core.config.base_cpi
         assert core.breakdown.translation_cycles > 0
+
+    def test_limit_stops_mid_batch(self):
+        core, _, _, _ = build_core()
+        batch = InstructionBatch()
+        for pc in range(10):
+            batch.append(OP_ALU, pc)
+        assert core.execute_batch(batch, limit=4) == 4
+        assert core.instructions == 4
 
     def test_ipc_decreases_with_memory_intensity(self):
         compute_core, _, _, _ = build_core()
+        compute = InstructionBatch()
         for _ in range(200):
-            compute_core.execute(Instruction(InstructionKind.ALU))
+            compute.append(OP_ALU, 0x400000)
+        compute_core.execute_batch(compute)
         memory_core, _, table, _ = build_core()
+        loads = InstructionBatch()
         for index in range(200):
             address = 0x1000 + index * PAGE_SIZE_4K
             table.insert(address, 0xA000 + index * PAGE_SIZE_4K, PAGE_SIZE_4K)
-            memory_core.execute(Instruction(InstructionKind.LOAD, memory_address=address))
+            loads.append(OP_LOAD, 0x400000, address)
+        memory_core.execute_batch(loads)
         assert memory_core.ipc < compute_core.ipc
 
     def test_kernel_stream_does_not_advance_core_cycles(self):
         core, _, _, _ = build_core()
-        stream = InstructionStream("k")
-        stream.extend([Instruction(InstructionKind.ALU, is_kernel=True) for _ in range(10)])
-        consumed = core.execute_kernel_stream(stream)
+        batch = KernelInstructionBatch("k")
+        for _ in range(10):
+            batch.append(OP_ALU, 0)
+        batch.append(OP_MAGIC, 0)
+        consumed = core.execute_kernel_batch(batch)
         assert consumed > 0
         assert core.cycles == 0
+        # The magic terminator is not an executed kernel instruction.
         assert core.kernel_instructions == 10
+        assert core.counters.get("magic_instructions") == 1
         assert core.kernel_instruction_fraction() == 1.0
 
     def test_kernel_memory_accesses_pollute_caches(self):
         core, _, _, memory = build_core()
-        stream = InstructionStream("k")
-        stream.append(Instruction(InstructionKind.STORE, memory_address=0x9000, is_kernel=True))
-        core.execute_kernel_stream(stream)
+        batch = KernelInstructionBatch("k")
+        batch.append(OP_STORE, 0, 0x9000)
+        batch.append(OP_LOAD, 4, 0xA000)
+        core.execute_kernel_batch(batch)
         assert memory.counters.get("requests_kernel_zero") == 1
+        assert memory.counters.get("requests_kernel") == 1
 
     def test_repeat_instruction_charges_per_iteration(self):
         core, _, _, _ = build_core()
-        stream = InstructionStream("k")
-        stream.append(Instruction(InstructionKind.ALU, is_kernel=True, repeat=1000))
-        consumed = core.execute_kernel_stream(stream)
-        assert consumed >= 1000
+        batch = KernelInstructionBatch("k")
+        batch.append(OP_ALU, 0, repeat=1000)
+        consumed = core.execute_kernel_batch(batch)
+        assert consumed == pytest.approx(1000)
+        assert core.breakdown.kernel_cycles == pytest.approx(1000)
 
     def test_page_fault_latency_charged_once(self):
         core, mmu, table, _ = build_core()
@@ -221,9 +277,10 @@ class TestCoreModel:
             return 700, True
 
         mmu.set_fault_callback(fault)
-        core.execute(Instruction(InstructionKind.LOAD, memory_address=0x3000))
+        core.execute_batch(one_instruction(OP_LOAD, 0x3000))
         assert core.breakdown.fault_cycles == pytest.approx(700)
-        assert core.cycles > 700
+        assert 700 < core.cycles < 2 * 700
+        assert core.counters.get("page_fault_instructions") == 1
 
 
 def build_kernel_and_core(os_mode="imitation", thp_policy="linux"):

@@ -1,28 +1,28 @@
-"""Fast-path invariance tests: the batch engine and the VPN translation
-cache must change *host* throughput only — never a simulated statistic.
+"""Fast-path invariance tests: batching and the VPN translation cache must
+change *host* throughput only — never a simulated statistic.
 
 Six families:
 
-* batch streams — every array-native ``instruction_batches`` override must
-  emit the exact (kind, pc, address) sequence of its ``instructions``;
+* batch streams — a workload's instruction sequence must not depend on the
+  chunk size it is packed into, and the base class must pack a
+  per-object ``instructions`` generator exactly;
 * vectorisation — the numpy-backed generators must emit the exact sequence
   of the pure-python fallback (RNG draws included);
-* engine/cache invariance — legacy vs batch engine and VPN-cache on vs off
-  must produce bit-identical reports (cycles, IPC, walks, TLB counters,
-  faults, memory-system counters), including the kernel path
-  (``kernel_cycles``, ``kernel_instructions``, coupling/channel counters)
-  on fault-heavy workloads;
-* kernel batches — ``InstrumentationTool.expand_batch`` and its
-  ``expand`` compatibility view must describe the same instruction stream;
+* cache invariance — VPN cache on vs off must produce bit-identical
+  reports (cycles, IPC, walks, TLB counters, faults, memory-system
+  counters), including the kernel path (``kernel_cycles``,
+  ``kernel_instructions``, coupling/channel counters) on fault-heavy
+  workloads;
+* kernel batches — ``InstrumentationTool.expand_batch`` is deterministic
+  and its counters and channel framing are exact;
 * invalidation — ``activate_process``, TLB flushes, core migration and
   page-table unmaps must invalidate the VPN cache so no stale fast hit can
   occur;
 * multi-core — a one-core one-task ``MultiCoreVirtuoso`` run must be
-  bit-identical to ``Virtuoso.run``; an interleaved single-core
-  multi-process run must be bit-identical between the batch engine and the
-  legacy (per-object) sequential equivalent, fault-heavy full-system runs
-  included; N-core runs must be deterministic across repeats and genuinely
-  share the L2/LLC/DRAM while keeping L1/TLB state private.
+  bit-identical to ``Virtuoso.run``; interleaved multi-process runs must
+  be bit-identical with the VPN cache on and off, fault-heavy full-system
+  runs included; N-core runs must be deterministic across repeats and
+  genuinely share the L2/LLC/DRAM while keeping L1/TLB state private.
 """
 
 from dataclasses import replace
@@ -35,7 +35,7 @@ from repro.common.config import CacheConfig, DRAMConfig, TLBConfig
 from repro.common.kernelops import KernelRoutineTrace
 from repro.core.channels import InstructionStreamChannel
 from repro.core.cpu import CoreModel
-from repro.core.instructions import KIND_TO_OP, OP_MAGIC, InstructionKind
+from repro.core.instructions import KIND_TO_OP, OP_LOAD, OP_MAGIC, OP_REP, InstructionBatch
 from repro.core.instrumentation import InstrumentationTool
 from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.virtuoso import Virtuoso
@@ -47,6 +47,7 @@ from repro.mmu.tlb import TLBHierarchy
 from repro.pagetables.radix import RadixPageTable
 from repro.common.config import PageTableConfig
 from repro.workloads import (
+    GraphWorkload,
     GUPSWorkload,
     GuestMixWorkload,
     IntensitySweepWorkload,
@@ -77,11 +78,13 @@ REPORT_FIELDS = [
 ]
 
 
-def run_system(workload_factory, engine="batch", extensions=None, seed=7,
-               os_mode="imitation"):
+#: The reference side of the memo oracle: the VPN translation cache off.
+MEMO_OFF = MMUExtensions(vpn_translation_cache=False)
+
+
+def run_system(workload_factory, extensions=None, seed=7, os_mode="imitation"):
     config = tiny_system_config()
-    config = config.with_simulation(replace(config.simulation, engine=engine,
-                                            os_mode=os_mode))
+    config = config.with_simulation(replace(config.simulation, os_mode=os_mode))
     system = Virtuoso(config, seed=seed, mmu_extensions=extensions)
     report = system.run(workload_factory())
     return system, report
@@ -97,8 +100,13 @@ def assert_reports_identical(first, second):
     assert first.details["coupling"] == second.details["coupling"]
 
 
-class TestBatchStreamsMatchInstructionStreams:
-    """Array-native batch generators must replay instructions() exactly."""
+def flat_sequence(workload, process, batch_size):
+    return [entry for batch in workload.instruction_batches(process, batch_size=batch_size)
+            for entry in zip(batch.kinds, batch.pcs, batch.addresses)]
+
+
+class TestBatchStreamsAreChunkingInvariant:
+    """The instruction sequence must not depend on the chunk size."""
 
     WORKLOADS = [
         lambda: GUPSWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=3),
@@ -108,6 +116,7 @@ class TestBatchStreamsMatchInstructionStreams:
         lambda: KernelFractionMicrobenchmark(0.5, memory_operations=400, seed=8),
         lambda: LLMInferenceWorkload("Bagel", scale=0.1, seed=9),
         _guest_mix,
+        lambda: GraphWorkload("PR", footprint_bytes=4 * MB, memory_operations=300),
     ]
 
     @pytest.mark.parametrize("factory", WORKLOADS)
@@ -117,13 +126,21 @@ class TestBatchStreamsMatchInstructionStreams:
         workload = factory()
         workload.setup(kernel, process)
 
-        expected = [(i.kind, i.pc, i.memory_address)
+        expected = flat_sequence(workload, process, 4096)
+        assert expected
+        assert flat_sequence(workload, process, 257) == expected
+        assert flat_sequence(workload, process, 1) == expected
+
+    def test_base_class_packs_instructions_exactly(self):
+        kernel = MimicOS(tiny_mimicos_config(), PageTableConfig(kind="radix"))
+        process = kernel.create_process("packcheck")
+        workload = GraphWorkload("BFS", footprint_bytes=4 * MB, memory_operations=300)
+        workload.setup(kernel, process)
+        expected = [(KIND_TO_OP[i.kind], i.pc, i.memory_address)
                     for i in workload.instructions(process)]
-        got = []
-        for batch in workload.instruction_batches(process, batch_size=257):
-            got.extend((i.kind, i.pc, i.memory_address)
-                       for i in batch.iter_instructions())
-        assert got == expected
+        sizes = [len(batch) for batch in workload.instruction_batches(process, batch_size=100)]
+        assert sizes[:-1] == [100] * (len(sizes) - 1) and 0 < sizes[-1] <= 100
+        assert flat_sequence(workload, process, 100) == expected
 
 
 class TestVectorizedGenerationMatchesFallback:
@@ -170,7 +187,7 @@ class TestVectorizedGenerationMatchesFallback:
 
 
 class TestKernelBatchExpansion:
-    """expand_batch and its expand() view must describe one stream."""
+    """Kernel-trace expansion: deterministic, exactly counted and framed."""
 
     def make_trace(self):
         trace = KernelRoutineTrace("do_page_fault")
@@ -184,28 +201,26 @@ class TestKernelBatchExpansion:
         trace.new_op("fault_return", work_units=2)
         return trace
 
-    def test_expand_view_matches_batch(self):
-        tool = InstrumentationTool()
-        trace = self.make_trace()
-        batch = tool.expand_batch(trace)
-        stream = tool.expand(self.make_trace())
-        assert len(batch) == len(stream)
-        from_batch = [(i.kind, i.pc, i.memory_address, i.repeat, i.is_kernel)
-                      for i in batch.iter_instructions()]
-        from_stream = [(i.kind, i.pc, i.memory_address, i.repeat, i.is_kernel)
-                       for i in stream]
-        assert from_batch == from_stream
-        assert all(is_kernel for *_, is_kernel in from_batch)
-        assert any(repeat >= 4096 for *_, repeat, _ in from_batch)
+    def test_expansion_is_deterministic(self):
+        first = InstrumentationTool().expand_batch(self.make_trace())
+        second = InstrumentationTool().expand_batch(self.make_trace())
+        assert (first.kinds, first.pcs, first.addresses, first.rep_values) == \
+            (second.kinds, second.pcs, second.addresses, second.rep_values)
+        assert first.kinds.count(OP_REP) == len(first.rep_values)
+        assert any(repeat >= 4096 for repeat in first.rep_values)
+        # Every touched kernel address is issued as a memory instruction.
+        assert {address for address in first.addresses if address is not None} == {
+            0xFFFF_8000_0000_1000, 0xFFFF_8000_0000_2000,
+            0xFFFF_8000_0000_2040, 0xFFFF_8000_0000_3000}
 
-    def test_expansion_counters_exact_on_both_paths(self):
-        batch_tool = InstrumentationTool()
-        stream_tool = InstrumentationTool()
-        batch = batch_tool.expand_batch(self.make_trace())
-        stream = stream_tool.expand(self.make_trace())
-        assert batch_tool.stats() == stream_tool.stats()
-        assert batch_tool.stats()["instructions_generated"] == len(batch) == len(stream)
-        assert batch_tool.stats()["routines_instrumented"] == 1
+    def test_expansion_counters_exact(self):
+        tool = InstrumentationTool()
+        batch = tool.expand_batch(self.make_trace())
+        assert tool.stats()["instructions_generated"] == len(batch)
+        assert tool.stats()["routines_instrumented"] == 1
+        tool.expand_batch(self.make_trace())
+        assert tool.stats()["instructions_generated"] == 2 * len(batch)
+        assert tool.stats()["routines_instrumented"] == 2
 
     def test_channel_batch_terminator_and_counts(self):
         channel = InstructionStreamChannel()
@@ -220,31 +235,24 @@ class TestKernelBatchExpansion:
         assert channel.pop() is None
 
 
-class TestEngineInvariance:
-    def test_batch_engine_matches_legacy_engine(self):
-        factory = lambda: GUPSWorkload(footprint_bytes=4 * MB,
-                                       memory_operations=1200, seed=5)
-        _, legacy = run_system(factory, engine="legacy")
-        system, batch = run_system(factory, engine="batch")
-        assert_reports_identical(legacy, batch)
-        assert system.mmu.fast_hits > 0
-
+class TestCacheInvariance:
     @pytest.mark.parametrize("os_mode", ["imitation", "full_system"])
-    def test_kernel_batch_matches_kernel_stream_on_fault_heavy(self, os_mode):
-        """The array-backed kernel path must be bit-identical to the
-        per-object path where it matters most: fault-dominated runs."""
+    def test_vpn_cache_on_off_invariance_on_fault_heavy(self, os_mode):
+        """The memo must stay invisible where the kernel path dominates:
+        fault-heavy runs whose handler streams pollute the caches."""
         for factory in (
             lambda: LLMInferenceWorkload("Bagel", scale=0.1, seed=9),
             lambda: KernelFractionMicrobenchmark(0.8, memory_operations=1500, seed=8),
         ):
-            _, legacy = run_system(factory, engine="legacy", os_mode=os_mode)
-            _, batch = run_system(factory, engine="batch", os_mode=os_mode)
-            assert legacy.kernel_instructions > 0
-            assert batch.kernel_instructions == legacy.kernel_instructions
-            assert batch.details["core"]["breakdown"]["kernel"] == \
-                legacy.details["core"]["breakdown"]["kernel"]
-            assert batch.details["core"]["counters"] == legacy.details["core"]["counters"]
-            assert_reports_identical(legacy, batch)
+            on_system, on = run_system(factory, os_mode=os_mode)
+            _, off = run_system(factory, extensions=MEMO_OFF, os_mode=os_mode)
+            assert off.kernel_instructions > 0
+            assert on.kernel_instructions == off.kernel_instructions
+            assert on.details["core"]["breakdown"]["kernel"] == \
+                off.details["core"]["breakdown"]["kernel"]
+            assert on.details["core"]["counters"] == off.details["core"]["counters"]
+            assert_reports_identical(off, on)
+            assert on_system.mmu.fast_hits > 0
 
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_vectorization_on_off_invariance(self):
@@ -266,8 +274,7 @@ class TestEngineInvariance:
             lambda: GUPSWorkload(footprint_bytes=4 * MB, memory_operations=1200, seed=5),
         ):
             on_system, on_report = run_system(factory, extensions=MMUExtensions())
-            off_system, off_report = run_system(
-                factory, extensions=MMUExtensions(vpn_translation_cache=False))
+            off_system, off_report = run_system(factory, extensions=MEMO_OFF)
             assert_reports_identical(on_report, off_report)
             assert on_system.mmu.fast_hits > 0
             assert off_system.mmu.fast_hits == 0
@@ -355,6 +362,12 @@ class TestVPNCacheInvalidation:
         assert system.mmu.fast_path_stats()["entries"] == 0
 
 
+def load_batch(address):
+    batch = InstructionBatch()
+    batch.append(OP_LOAD, 0x400000, address)
+    return batch
+
+
 class TestTranslationPenaltyAccounting:
     def test_negative_translation_penalty_raises(self):
         """Accounting bugs (latency < fault latency + 1) must surface loudly."""
@@ -366,11 +379,10 @@ class TestTranslationPenaltyAccounting:
                                               fault_latency=10, page_fault=True)
         bogus = MemoryOperationResult(translation=bogus_translation, data_latency=0,
                                       served_by="L1", total_latency=3)
-        core.mmu.access_data = lambda *args, **kwargs: bogus
+        core.mmu.access_data_fast = lambda *args, **kwargs: bogus
 
-        from repro.core.instructions import Instruction, InstructionKind
         with pytest.raises(AssertionError, match="negative translation component"):
-            core.execute(Instruction(kind=InstructionKind.LOAD, memory_address=0x1000))
+            core.execute_batch(load_batch(0x1000))
 
     def test_zero_latency_translation_is_not_an_error(self):
         """A zero-latency frontend (nothing to overlap) must not trip the assert."""
@@ -380,18 +392,17 @@ class TestTranslationPenaltyAccounting:
         free_translation = TranslationResult(virtual_address=0x1000, latency=0)
         free = MemoryOperationResult(translation=free_translation, data_latency=0,
                                      served_by="L1", total_latency=0)
-        core.mmu.access_data = lambda *args, **kwargs: free
+        core.mmu.access_data_fast = lambda *args, **kwargs: free
 
-        from repro.core.instructions import Instruction, InstructionKind
         before = core.cycles
-        core.execute(Instruction(kind=InstructionKind.LOAD, memory_address=0x1000))
+        core.execute_batch(load_batch(0x1000))
         assert core.cycles == before + config.core.base_cpi
         assert core.breakdown.translation_cycles == 0.0
 
 
-def multicore_config(engine="batch", batch_size=1024, os_mode="imitation"):
+def multicore_config(batch_size=1024, os_mode="imitation"):
     config = tiny_system_config()
-    return config.with_simulation(replace(config.simulation, engine=engine,
+    return config.with_simulation(replace(config.simulation,
                                           batch_size=batch_size, os_mode=os_mode))
 
 
@@ -410,7 +421,7 @@ def fault_heavy_workloads():
 
 
 def _strip_host_diagnostics(core_details):
-    """Drop the VPN-cache diagnostics (host-side, engine-dependent by
+    """Drop the VPN-cache diagnostics (host-side, cache-dependent by
     design) so only simulated statistics are compared."""
     stripped = []
     for entry in core_details:
@@ -445,26 +456,25 @@ class TestMultiCoreInvariance:
         assert_reports_identical(single, result.core_reports[0])
 
     @pytest.mark.parametrize("os_mode", ["imitation", "full_system"])
-    def test_interleaved_batch_matches_legacy_equivalent(self, os_mode):
+    def test_interleaved_run_is_memo_invariant(self, os_mode):
         """The always-on invariant: a single-core multi-process run
-        interleaved in chunks must produce bit-identical statistics on the
-        batch engine and on the legacy (per-object) sequential equivalent,
-        fault-heavy full-system runs included."""
+        interleaved in chunks must produce bit-identical statistics with
+        the VPN cache on and off, fault-heavy full-system runs included."""
         for factory in (two_process_workloads, fault_heavy_workloads):
-            batch = MultiCoreVirtuoso(multicore_config("batch", os_mode=os_mode),
-                                      num_cores=1, seed=7).run(factory())
-            legacy = MultiCoreVirtuoso(multicore_config("legacy", os_mode=os_mode),
-                                       num_cores=1, seed=7).run(factory())
-            assert_merged_reports_identical(batch.merged, legacy.merged)
-            assert batch.merged.instructions > 0
+            on = MultiCoreVirtuoso(multicore_config(os_mode=os_mode),
+                                   num_cores=1, seed=7).run(factory())
+            off = MultiCoreVirtuoso(multicore_config(os_mode=os_mode), num_cores=1,
+                                    seed=7, mmu_extensions=MEMO_OFF).run(factory())
+            assert_merged_reports_identical(on.merged, off.merged)
+            assert on.merged.instructions > 0
 
-    def test_two_core_batch_matches_legacy(self):
-        """Engine invariance holds with cores genuinely sharing L2/LLC/DRAM."""
-        batch = MultiCoreVirtuoso(multicore_config("batch"),
-                                  num_cores=2, seed=7).run(two_process_workloads())
-        legacy = MultiCoreVirtuoso(multicore_config("legacy"),
-                                   num_cores=2, seed=7).run(two_process_workloads())
-        assert_merged_reports_identical(batch.merged, legacy.merged)
+    def test_two_core_run_is_memo_invariant(self):
+        """Memo invariance holds with cores genuinely sharing L2/LLC/DRAM."""
+        on = MultiCoreVirtuoso(multicore_config(),
+                               num_cores=2, seed=7).run(two_process_workloads())
+        off = MultiCoreVirtuoso(multicore_config(), num_cores=2, seed=7,
+                                mmu_extensions=MEMO_OFF).run(two_process_workloads())
+        assert_merged_reports_identical(on.merged, off.merged)
 
     @pytest.mark.parametrize("migrate_every", [None, 2])
     def test_multicore_runs_deterministic(self, migrate_every):

@@ -104,7 +104,8 @@ class TestScheduledWorkload:
     def test_instruction_sequence_is_unchanged_by_wrapping(self):
         wrapped = ScheduledWorkload(_FlatWorkload(), self._schedule())
         wrapped.bind(_Recorder())
-        assert ([i.pc for i in wrapped.instructions(None)]
+        assert ([pc for batch in wrapped.instruction_batches(None, batch_size=16)
+                 for pc in batch.pcs]
                 == [i.pc for i in _FlatWorkload().instructions(None)])
 
     def test_batch_boundaries_cut_exactly_at_op_offsets(self):
@@ -121,24 +122,27 @@ class TestScheduledWorkload:
             sizes.append(len(batch))
         while len(fired_after) < len(recorder.applied):
             fired_after.append(emitted)
-        assert sum(sizes) == 100
+        # Chunks end at every op offset and after batch_size instructions
+        # in between.
+        assert sizes == [10, 16, 11, 16, 16, 16, 15]
         # Ops at offset 10 and 37 fire when exactly 10 / 37 instructions
         # have been emitted ahead of them; the off-the-end op fires last.
         assert [spec.op for spec in recorder.applied] == [
             "touch", "collapse", "reclaim", "migrate"]
         assert fired_after == [10, 10, 37, 100]
 
-    def test_legacy_iteration_fires_ops_at_the_same_offsets(self):
+    @pytest.mark.parametrize("batch_size", [1, 7, 64, 4096])
+    def test_ops_fire_at_the_same_offsets_for_every_batch_size(self, batch_size):
         recorder = _Recorder()
         wrapped = ScheduledWorkload(_FlatWorkload(), self._schedule())
         wrapped.bind(recorder)
         fired_after = []
         emitted = 0
-        iterator = wrapped.instructions(None)
-        for instruction in iterator:
+        for batch in wrapped.instruction_batches(None, batch_size=batch_size):
+            assert 0 < len(batch) <= batch_size
             while len(fired_after) < len(recorder.applied):
                 fired_after.append(emitted)
-            emitted += 1
+            emitted += len(batch)
         while len(fired_after) < len(recorder.applied):
             fired_after.append(emitted)
         assert fired_after == [10, 10, 37, 100]
@@ -147,7 +151,7 @@ class TestScheduledWorkload:
         wrapped = ScheduledWorkload(_FlatWorkload(),
                                     OpSchedule(ops=(KernelOpSpec("mmap", 0, {}),)))
         with pytest.raises(RuntimeError, match="no executor bound"):
-            list(wrapped.instructions(None))
+            list(wrapped.instruction_batches(None))
 
 
 # --------------------------------------------------------------------- #
@@ -225,7 +229,7 @@ class TestShrinker:
 # The oracle end to end (healthy build)
 # --------------------------------------------------------------------- #
 class TestOracle:
-    def test_scheduled_kernel_ops_stay_engine_identical(self):
+    def test_scheduled_kernel_ops_stay_memo_identical(self):
         ops = (KernelOpSpec("mmap", 40, {"pages": 96}),
                KernelOpSpec("touch", 150, {"slot": 0, "pages": 32, "stride": 1}),
                KernelOpSpec("collapse", 500, {"regions": 4}),
@@ -238,8 +242,8 @@ class TestOracle:
         assert digest["divergence"] is None
 
     def test_crash_is_classified_not_raised(self, monkeypatch):
-        monkeypatch.setattr(fuzz, "_run_scenario_engine",
-                            lambda scenario, engine: (_ for _ in ()).throw(
+        monkeypatch.setattr(fuzz, "run_scenario_stats",
+                            lambda scenario, memo: (_ for _ in ()).throw(
                                 AssertionError("injected fault")))
         scenario = generate_scenarios(1, seed=2)[0][0]
         digest = run_fuzz_scenario(scenario.to_json())
@@ -248,21 +252,22 @@ class TestOracle:
                                    "message": "injected fault"}
 
     def test_one_sided_crash_is_a_divergence(self, monkeypatch):
-        real = fuzz._run_scenario_engine
+        real = fuzz.run_scenario_stats
 
-        def broken(scenario, engine):
-            if engine == "batch":
-                raise RuntimeError("batch only")
-            return real(scenario, engine)
+        def broken(scenario, memo):
+            if memo:
+                raise RuntimeError("memo only")
+            return real(scenario, memo)
 
-        monkeypatch.setattr(fuzz, "_run_scenario_engine", broken)
+        monkeypatch.setattr(fuzz, "run_scenario_stats", broken)
         scenario = FuzzScenario(config=FuzzConfig(),
                                 schedule=OpSchedule(ops=(
                                     KernelOpSpec("mmap", 0, {"pages": 4}),)))
         digest = run_fuzz_scenario(scenario.to_json())
         assert digest["outcome"] == "divergence"
         assert digest["divergence"]["field"] == "crash"
-        assert digest["divergence"]["legacy_value"] == "ok"
+        assert digest["divergence"]["reference_value"] == "ok"
+        assert digest["divergence"]["fast_value"]["message"] == "memo only"
 
 
 # --------------------------------------------------------------------- #

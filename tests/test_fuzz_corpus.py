@@ -3,7 +3,8 @@
 Two jobs live here:
 
 * replay every committed reproducer in ``tests/fuzz_corpus/`` through the
-  differential oracle — each fuzzer catch stays fixed forever;
+  memo-off/memo-on oracle and against its pinned golden digest — each
+  fuzzer catch stays fixed forever;
 * prove the corpus layer's durability contract: atomic banking (no torn or
   leftover tmp files), content-hash dedupe, and tolerant loading that turns
   corrupt entries into :class:`CorpusWarning` skips instead of tier-1 crashes.
@@ -25,8 +26,9 @@ from repro.validation.corpus import (
     load_entry,
     save_entry,
 )
-from repro.validation.fuzz import FuzzConfig, FuzzScenario, replay_corpus
+from repro.validation.fuzz import FuzzConfig, FuzzScenario, replay_corpus, replay_entry
 from repro.workloads.schedule import KernelOpSpec, OpSchedule
+from tests.conftest import golden_digests
 
 
 def minimal_entry(**extra) -> dict:
@@ -46,11 +48,18 @@ class TestBankedCorpusReplays:
             "the seed corpus should ship at least one banked reproducer"
 
     def test_corpus_replays_identical_on_healthy_build(self):
-        report = replay_corpus()
-        assert report["skipped"] == 0, "committed corpus entries must all load"
-        assert report["entries"] >= 1
-        assert report["failures"] == [], (
-            "banked reproducers re-diverged: " + json.dumps(report["failures"]))
+        entries, skipped = load_corpus()
+        assert skipped == 0, "committed corpus entries must all load"
+        assert entries
+        pinned = golden_digests()["corpus"]
+        for path, entry in entries:
+            digest = replay_entry(entry)
+            assert digest["outcome"] == "identical", (
+                f"{path.name} re-diverged: " + json.dumps(digest["divergence"]))
+            # The golden digest catches drift that moves both sides of the
+            # memo pair together.
+            assert digest["stats_digest"] == pinned[path.stem], (
+                f"{path.name}: statistics drifted from the pinned golden digest")
 
     def test_committed_entries_are_minimal_and_provenanced(self):
         entries, skipped = load_corpus()

@@ -1,4 +1,4 @@
-"""End-to-end tests for virtualized execution as a first-class engine mode.
+"""End-to-end tests for virtualized execution as a first-class simulation mode.
 
 Four families:
 
@@ -6,12 +6,13 @@ Four families:
   over the hypervisor, routes application faults through the guest and
   guest-RAM backing faults through the hypervisor, and injects *both*
   kernels' instruction streams into the faulting core;
-* engine invariance — virtualized runs are bit-identical between the batch
-  and legacy engines, on one core and on the multi-core orchestrator;
+* memo invariance — virtualized runs are bit-identical with the VPN
+  translation cache on and off, on one core and on the multi-core
+  orchestrator;
 * hypervisor-remap staleness regression — after the hypervisor swaps out a
   frame backing guest RAM, the next guest access must fault and re-walk
-  (host swap-in) identically on both engines instead of translating through
-  the stale nested-TLB / TLB / VPN-cache entries.  This test fails if the
+  (host swap-in) identically with the memo on and off instead of
+  translating through the stale nested-TLB / TLB / VPN-cache entries.  This test fails if the
   two-level shootdown wiring (``MMU.invalidate_nested_translations`` /
   ``NestedTranslationUnit.invalidate``) is removed;
 * 2-D accounting — the guest and host walk dimensions are attributed
@@ -28,18 +29,17 @@ from repro.common.config import VirtualizationConfig
 from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.virtuoso import Virtuoso
 from repro.mmu.mmu import MMU
-from repro.validation.parity import diff_stats, flatten_stats
+from repro.validation.parity import diff_stats, flatten_stats, memo_extensions
 from repro.workloads.multiproc import GuestMixWorkload, virtualized_guests
 from tests.conftest import tiny_system_config
 
 
-def virtualized_config(engine: str = "batch", **virt_overrides):
+def virtualized_config(**virt_overrides):
     defaults = dict(enabled=True, guest_memory_bytes=128 * MB,
                     nested_tlb_entries=256)
     defaults.update(virt_overrides)
     config = tiny_system_config()
-    config = config.with_virtualization(VirtualizationConfig(**defaults))
-    return config.with_simulation(replace(config.simulation, engine=engine))
+    return config.with_virtualization(VirtualizationConfig(**defaults))
 
 
 class TestVirtualizedConstruction:
@@ -81,33 +81,32 @@ class TestVirtualizedConstruction:
         assert "nested" in report.details["mmu"]
 
 
-class TestVirtualizedEngineInvariance:
-    def run_engine(self, engine: str):
-        system = Virtuoso(virtualized_config(engine), seed=7)
+class TestVirtualizedMemoInvariance:
+    def run_system(self, memo: bool):
+        system = Virtuoso(virtualized_config(), seed=7,
+                          mmu_extensions=memo_extensions(memo))
         report = system.run(GuestMixWorkload(footprint_bytes=2 * MB,
                                              hot_operations=600, seed=3))
         return system, report
 
     def test_single_core_bit_identical(self):
-        _, legacy = self.run_engine("legacy")
-        batch_system, batch = self.run_engine("batch")
-        assert batch_system.mmu.fast_hits > 0  # the fast path really engaged
-        diffs = diff_stats(flatten_stats(legacy), flatten_stats(batch))
-        assert not diffs, f"virtualized engine divergence: {diffs[:3]}"
+        _, reference = self.run_system(memo=False)
+        fast_system, fast = self.run_system(memo=True)
+        assert fast_system.mmu.fast_hits > 0  # the fast path really engaged
+        diffs = diff_stats(flatten_stats(reference), flatten_stats(fast))
+        assert not diffs, f"virtualized memo divergence: {diffs[:3]}"
 
     def test_multicore_bit_identical(self):
-        def run(engine):
-            system = MultiCoreVirtuoso(virtualized_config(engine), num_cores=2,
-                                       seed=7)
+        def run(memo):
+            system = MultiCoreVirtuoso(virtualized_config(), num_cores=2, seed=7,
+                                       mmu_extensions=memo_extensions(memo))
             result = system.run(virtualized_guests(count=2,
                                                    footprint_bytes=1 * MB,
                                                    hot_operations=300, seed=3))
             return result.merged
 
-        legacy = run("legacy")
-        batch = run("batch")
-        diffs = diff_stats(flatten_stats(legacy), flatten_stats(batch))
-        assert not diffs, f"virtualized multicore divergence: {diffs[:3]}"
+        diffs = diff_stats(flatten_stats(run(False)), flatten_stats(run(True)))
+        assert not diffs, f"virtualized multicore memo divergence: {diffs[:3]}"
 
 
 def _hypervisor_swap_out_backing(system: Virtuoso, process, address: int) -> int:
@@ -133,22 +132,21 @@ def _hypervisor_swap_out_backing(system: Virtuoso, process, address: int) -> int
 
 
 class TestHypervisorRemapStalenessRegression:
-    """A host remap must invalidate combined translations on both engines."""
+    """A host remap must invalidate combined translations, memo on or off."""
 
-    def run_engine(self, engine: str):
-        system = Virtuoso(virtualized_config(engine), seed=7)
+    def run_system(self, memo: bool):
+        system = Virtuoso(virtualized_config(), seed=7,
+                          mmu_extensions=memo_extensions(memo))
         process = system.create_process("guest-app")
         vma = system.kernel.mmap(process, 1 * MB)
         system.activate_process(process)
         address = vma.start + 0x1000
 
-        access = (system.mmu.access_data_fast if engine == "batch"
-                  else system.mmu.access_data)
+        access = system.mmu.access_data_fast
         assert access(address).translation.page_fault  # fault both levels in
         access(address)
         access(address)
-        if engine == "batch":
-            assert system.mmu.fast_hits > 0
+        assert (system.mmu.fast_hits > 0) == memo
 
         swapped = _hypervisor_swap_out_backing(system, process, address)
         assert swapped > 0
@@ -156,14 +154,14 @@ class TestHypervisorRemapStalenessRegression:
         outcome = access(address)
         return system, outcome
 
-    def test_next_access_refaults_identically_on_both_engines(self):
-        legacy_system, legacy_outcome = self.run_engine("legacy")
-        batch_system, batch_outcome = self.run_engine("batch")
+    def test_next_access_refaults_identically_memo_on_and_off(self):
+        reference_system, reference_outcome = self.run_system(memo=False)
+        fast_system, fast_outcome = self.run_system(memo=True)
 
         # The guest translation is intact, so the re-fault is an EPT
         # violation resolved purely by the hypervisor: a host swap-in.
-        for system, outcome in ((legacy_system, legacy_outcome),
-                                (batch_system, batch_outcome)):
+        for system, outcome in ((reference_system, reference_outcome),
+                                (fast_system, fast_outcome)):
             assert outcome.translation.page_fault, (
                 "access after hypervisor remap translated through a stale "
                 "combined mapping instead of re-faulting")
@@ -171,14 +169,14 @@ class TestHypervisorRemapStalenessRegression:
             assert system.hypervisor.swap.counters.get("swap_ins") >= 1
             assert system.mmu.counters.get("nested_shootdowns") == 1
 
-        # And the whole sequence is engine-invariant, statistic by statistic.
-        assert legacy_system.mmu.counters.as_dict() == \
-            batch_system.mmu.counters.as_dict()
-        assert legacy_system.tlbs.stats() == batch_system.tlbs.stats()
-        assert legacy_system.mmu.nested_unit.stats() == \
-            batch_system.mmu.nested_unit.stats()
-        assert legacy_system.coupling.counters.as_dict() == \
-            batch_system.coupling.counters.as_dict()
+        # And the whole sequence is memo-invariant, statistic by statistic.
+        assert reference_system.mmu.counters.as_dict() == \
+            fast_system.mmu.counters.as_dict()
+        assert reference_system.tlbs.stats() == fast_system.tlbs.stats()
+        assert reference_system.mmu.nested_unit.stats() == \
+            fast_system.mmu.nested_unit.stats()
+        assert reference_system.coupling.counters.as_dict() == \
+            fast_system.coupling.counters.as_dict()
 
     def test_stale_translation_survives_if_wiring_removed(self, monkeypatch):
         """Documents the failure mode: without the nested shootdown the next
@@ -186,7 +184,7 @@ class TestHypervisorRemapStalenessRegression:
         is exactly what the regression test above would catch)."""
         monkeypatch.setattr(MMU, "invalidate_nested_translations",
                             lambda self: None)
-        system, outcome = self.run_engine("batch")
+        system, outcome = self.run_system(memo=True)
         assert not outcome.translation.page_fault
         assert system.hypervisor.swap.counters.get("swap_ins") == 0
 

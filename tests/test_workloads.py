@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.config import PageTableConfig
-from repro.core.instructions import InstructionKind
+from repro.core.instructions import KIND_TO_OP, Instruction, InstructionKind
 from repro.mimicos.kernel import MimicOS
 from repro.workloads import (
     GRAPH_KERNELS,
@@ -33,13 +33,18 @@ def kernel_and_process():
     return kernel, kernel.create_process("wl")
 
 
+OP_TO_KIND = {op: kind for kind, op in KIND_TO_OP.items()}
+
+
 def materialise(workload, kernel, process, limit=50_000):
+    """The workload's first ``limit`` instructions as objects."""
     workload.setup(kernel, process)
     instructions = []
-    for instruction in workload.instructions(process):
-        instructions.append(instruction)
-        if len(instructions) >= limit:
-            break
+    for batch in workload.instruction_batches(process):
+        for op, pc, address in zip(batch.kinds, batch.pcs, batch.addresses):
+            instructions.append(Instruction(OP_TO_KIND[op], pc, address))
+            if len(instructions) >= limit:
+                return instructions
     return instructions
 
 
