@@ -217,6 +217,11 @@ class Cache:
                 return line
         if self.replacement == "lru":
             # First line with the minimum stamp (same tie-break as min()).
+            # Stamps can tie here, so this cache cannot use the recency-
+            # ordered dicts of repro.common.lru like the TLB-like structures
+            # do: a prefetch fill() does not advance _access_clock and shares
+            # its stamp with the same cycle's demand line, and the tie goes
+            # to the lower way, not to the older use.
             victim = lines[0]
             best = victim.lru_stamp
             for line in lines:

@@ -18,9 +18,9 @@ Fast path
 :meth:`MMU.access_data_fast` is the batch engine's entry point.  It consults
 a flat VPN -> (page base, physical base, page size, L1 TLB slot) cache that
 memoises the most recent L1 data-TLB hits.  A fast hit replays *exactly* the
-side effects the slow path would produce for the same access — L1 probe
-clocks, LRU stamp refresh, every counter, the translation-latency sample —
-so simulated statistics are bit-identical with the cache enabled or
+side effects the slow path would produce for the same access — the L1
+entry's move to most recently used, every counter, the translation-latency
+sample — so simulated statistics are bit-identical with the cache enabled or
 disabled.  The cache is strictly invalidated whenever its replay could
 diverge: on :meth:`set_context`, on any TLB content change (fill,
 invalidate, flush — tracked through the TLBs' ``version`` counters) and on
@@ -298,18 +298,16 @@ class MMU:
                     # Replay the exact side effects of the slow path's L1 hit.
                     page_base, physical_base, page_size, is_2m, entries, key = entry
                     l1_4k = self._l1d_4k
-                    l1_4k._clock += 1
                     l1_4k._c_lookups[0] += 1
                     if is_2m:
                         l1_4k._c_misses[0] += 1
                         l1_2m = self._l1d_2m
-                        l1_2m._clock += 1
                         l1_2m._c_lookups[0] += 1
                         l1_2m._c_hits[0] += 1
-                        entries[key] = (physical_base, page_size, l1_2m._clock)
                     else:
                         l1_4k._c_hits[0] += 1
-                        entries[key] = (physical_base, page_size, l1_4k._clock)
+                    # The hit makes the entry its set's most recently used.
+                    entries[key] = entries.pop(key)
                     self.tlbs._c_data_lookups[0] += 1
                     self._c_data_accesses[0] += 1
                     self._c_tlb_hits[0] += 1
@@ -512,12 +510,9 @@ class MMU:
                    instruction: bool) -> None:
         if self.victima is not None:
             # Capture the entry that the L2 TLB is about to evict.
-            set_index, tag = self.tlbs.l2._index_and_tag(virtual_address, page_size)
-            entries = self.tlbs.l2._sets[set_index]
-            if len(entries) >= self.tlbs.l2.associativity:
-                victim_key = min(entries, key=lambda k: entries[k][2])
-                victim_base, victim_size, _ = entries[victim_key]
-                self.victima.store_victim(victim_key[0] * victim_size, victim_base, victim_size)
+            victim = self.tlbs.l2.victim(virtual_address, page_size)
+            if victim is not None:
+                self.victima.store_victim(*victim)
         self.tlbs.fill(virtual_address, physical_base, page_size, instruction=instruction)
         if self.pom_tlb is not None:
             self.pom_tlb.fill(virtual_address, physical_base, self.memory)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_4K
+from repro.common.lru import lru_insert, lru_touch
 from repro.common.stats import Counter
 from repro.pagetables.base import MemoryInterface, PageTableBase, WalkResult
 
@@ -62,9 +63,9 @@ class _NestedTLB:
     def __init__(self, entries: int = 64, latency: int = 2):
         self.entries = entries
         self.latency = latency
+        #: Faulting 4 KB guest VPN -> (host physical base, page size), in
+        #: LRU order (see repro.common.lru).
         self._store: Dict[int, Tuple[int, int]] = {}
-        self._lru: Dict[int, int] = {}
-        self._clock = 0
         #: Bumped whenever the cached contents change (fill, invalidate,
         #: flush), mirroring :class:`repro.mmu.tlb.TLB.version`.
         self.version = 0
@@ -73,23 +74,12 @@ class _NestedTLB:
         return len(self._store)
 
     def lookup(self, guest_virtual: int) -> Optional[Tuple[int, int]]:
-        self._clock += 1
-        vpn = guest_virtual // PAGE_SIZE_4K
-        entry = self._store.get(vpn)
-        if entry is not None:
-            self._lru[vpn] = self._clock
-        return entry
+        return lru_touch(self._store, guest_virtual // PAGE_SIZE_4K)
 
     def fill(self, guest_virtual: int, host_physical: int, page_size: int) -> None:
-        self._clock += 1
         self.version += 1
-        vpn = guest_virtual // PAGE_SIZE_4K
-        if vpn not in self._store and len(self._store) >= self.entries:
-            victim = min(self._lru, key=self._lru.get)
-            self._store.pop(victim, None)
-            self._lru.pop(victim, None)
-        self._store[vpn] = (host_physical, page_size)
-        self._lru[vpn] = self._clock
+        lru_insert(self._store, guest_virtual // PAGE_SIZE_4K, (host_physical, page_size),
+                   self.entries)
 
     def invalidate(self, guest_virtual: int) -> bool:
         """Drop every entry whose combined page covers ``guest_virtual``.
@@ -108,7 +98,6 @@ class _NestedTLB:
             return False
         for vpn in victims:
             del self._store[vpn]
-            self._lru.pop(vpn, None)
         self.version += 1
         return True
 
@@ -117,7 +106,6 @@ class _NestedTLB:
         if not self._store:
             return False
         self._store.clear()
-        self._lru.clear()
         self.version += 1
         return True
 

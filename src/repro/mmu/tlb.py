@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.config import TLBConfig
+from repro.common.lru import lru_insert, lru_victim
 from repro.common.stats import Counter
 
 
@@ -38,9 +39,10 @@ class TLB:
         self.page_sizes = tuple(config.page_sizes)
         self.num_sets = config.sets
         self.associativity = config.associativity
-        #: One dict per set: vpn tag -> (physical base, page size, lru stamp)
-        self._sets: List[Dict[int, Tuple[int, int, int]]] = [dict() for _ in range(self.num_sets)]
-        self._clock = 0
+        #: One dict per set in LRU order (see repro.common.lru):
+        #: (vpn, page size) -> (physical base, page size)
+        self._sets: List[Dict[Tuple[int, int], Tuple[int, int]]] = \
+            [dict() for _ in range(self.num_sets)]
         self.counters = Counter()
         #: Bumped whenever the TLB's *contents* change (fill, invalidate,
         #: flush).  The MMU's VPN translation cache watches this to detect
@@ -62,18 +64,17 @@ class TLB:
 
     def lookup(self, virtual_address: int) -> Optional[Tuple[int, int]]:
         """Return (physical base, page size) on a hit, None on a miss."""
-        self._clock += 1
         self._c_lookups[0] += 1
         for page_size in self.page_sizes:
             vpn = virtual_address // page_size
             entries = self._sets[vpn % self.num_sets]
             key = (vpn, page_size)
-            entry = entries.get(key)
+            # lru_touch, inlined: the hit becomes the set's most recently used.
+            entry = entries.pop(key, None)
             if entry is not None:
-                physical_base, size, _ = entry
-                entries[key] = (physical_base, size, self._clock)
+                entries[key] = entry
                 self._c_hits[0] += 1
-                return physical_base, size
+                return entry
         self._c_misses[0] += 1
         return None
 
@@ -81,17 +82,29 @@ class TLB:
         """Insert a translation (LRU replacement within the set)."""
         if not self.supports(page_size):
             return
-        self._clock += 1
         self.version += 1
         set_index, tag = self._index_and_tag(virtual_address, page_size)
-        entries = self._sets[set_index]
-        key = (tag, page_size)
-        if key not in entries and len(entries) >= self.associativity:
-            victim = min(entries, key=lambda k: entries[k][2])
-            del entries[victim]
+        if lru_insert(self._sets[set_index], (tag, page_size), (physical_base, page_size),
+                      self.associativity) is not None:
             self._c_evictions[0] += 1
-        entries[key] = (physical_base, page_size, self._clock)
         self._c_fills[0] += 1
+
+    def victim(self, virtual_address: int, page_size: int) -> Optional[Tuple[int, int, int]]:
+        """The entry :meth:`fill` of this translation would evict, or None.
+
+        Returns (virtual base, physical base, page size); None when the
+        translation is already resident, its set has room, or this TLB does
+        not hold ``page_size``.
+        """
+        if not self.supports(page_size):
+            return None
+        set_index, tag = self._index_and_tag(virtual_address, page_size)
+        entries = self._sets[set_index]
+        key = lru_victim(entries, (tag, page_size), self.associativity)
+        if key is None:
+            return None
+        physical_base, size = entries[key]
+        return key[0] * size, physical_base, size
 
     def invalidate(self, virtual_address: int) -> None:
         """Drop any translation covering ``virtual_address`` (TLB shootdown)."""

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addresses import GB, PAGE_SIZE_2M, PAGE_SIZE_4K, align_down, align_up
+from repro.common.lru import lru_insert, lru_touch
 from repro.common.stats import Counter
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
@@ -58,31 +59,29 @@ class _VMALookasideBuffer:
     def __init__(self, entries: int, latency: int):
         self.entries = entries
         self.latency = latency
+        #: virtual start -> range, in insertion order: :meth:`lookup` returns
+        #: the first covering range, so overlaps resolve oldest-first.
         self._ranges: Dict[int, _VMARange] = {}
-        self._lru: Dict[int, int] = {}
-        self._clock = 0
+        #: The same keys in LRU order (see repro.common.lru; values unused).
+        self._lru: Dict[int, bool] = {}
         self.hits = 0
         self.misses = 0
 
     def lookup(self, virtual_address: int) -> Optional[_VMARange]:
-        self._clock += 1
         for key, entry in self._ranges.items():
             if entry.contains(virtual_address):
-                self._lru[key] = self._clock
+                lru_touch(self._lru, key)
                 self.hits += 1
                 return entry
         self.misses += 1
         return None
 
     def fill(self, entry: _VMARange) -> None:
-        self._clock += 1
         key = entry.virtual_start
-        if key not in self._ranges and len(self._ranges) >= self.entries:
-            victim = min(self._lru, key=self._lru.get)
-            self._ranges.pop(victim, None)
-            self._lru.pop(victim, None)
+        victim = lru_insert(self._lru, key, True, self.entries)
+        if victim is not None:
+            del self._ranges[victim]
         self._ranges[key] = entry
-        self._lru[key] = self._clock
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

@@ -24,6 +24,7 @@ from repro.common.addresses import (
     PAGE_SIZE_4K,
     split_vpn_radix,
 )
+from repro.common.lru import lru_insert, lru_touch
 from repro.common.stats import Counter
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
@@ -52,8 +53,8 @@ class PageWalkCache:
         self.coverage_shift = coverage_shift
         self.num_sets = entries // associativity
         self.associativity = associativity
-        self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._clock = 0
+        #: One dict per set in LRU order (see repro.common.lru): tag -> True.
+        self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
         self.counters = Counter()
 
     def _set_index(self, tag: int) -> int:
@@ -62,10 +63,7 @@ class PageWalkCache:
     def lookup(self, virtual_address: int) -> bool:
         """True on hit (the walker may skip the covered levels)."""
         tag = virtual_address >> self.coverage_shift
-        entries = self._sets[self._set_index(tag)]
-        self._clock += 1
-        if tag in entries:
-            entries[tag] = self._clock
+        if lru_touch(self._sets[self._set_index(tag)], tag):
             self.counters.add("hits")
             return True
         self.counters.add("misses")
@@ -74,15 +72,7 @@ class PageWalkCache:
     def fill(self, virtual_address: int) -> None:
         """Insert the partial translation for ``virtual_address``."""
         tag = virtual_address >> self.coverage_shift
-        entries = self._sets[self._set_index(tag)]
-        self._clock += 1
-        if tag in entries:
-            entries[tag] = self._clock
-            return
-        if len(entries) >= self.associativity:
-            victim = min(entries, key=entries.get)
-            del entries[victim]
-        entries[tag] = self._clock
+        lru_insert(self._sets[self._set_index(tag)], tag, True, self.associativity)
 
     def invalidate(self, virtual_address: int) -> None:
         """Drop the entry covering ``virtual_address`` if present."""

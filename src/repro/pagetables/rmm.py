@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_4K, align_down
+from repro.common.lru import lru_insert, lru_touch
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import (
@@ -61,18 +62,19 @@ class RangeLookasideBuffer:
     def __init__(self, entries: int = 64, latency: int = 9):
         self.entries = entries
         self.latency = latency
+        #: virtual start -> range, in insertion order: :meth:`lookup` returns
+        #: the first covering range, so overlaps resolve oldest-first.
         self._ranges: Dict[int, VirtualRange] = {}
-        self._lru: Dict[int, int] = {}
-        self._clock = 0
+        #: The same keys in LRU order (see repro.common.lru; values unused).
+        self._lru: Dict[int, bool] = {}
         self.hits = 0
         self.misses = 0
 
     def lookup(self, virtual_address: int) -> Optional[VirtualRange]:
         """Return the cached range covering ``virtual_address`` (if any)."""
-        self._clock += 1
         for key, candidate in self._ranges.items():
             if candidate.contains(virtual_address):
-                self._lru[key] = self._clock
+                lru_touch(self._lru, key)
                 self.hits += 1
                 return candidate
         self.misses += 1
@@ -80,19 +82,16 @@ class RangeLookasideBuffer:
 
     def fill(self, entry: VirtualRange) -> None:
         """Insert a range, evicting the least recently used one when full."""
-        self._clock += 1
         key = entry.virtual_start
-        if key not in self._ranges and len(self._ranges) >= self.entries:
-            victim = min(self._lru, key=self._lru.get)
-            self._ranges.pop(victim, None)
-            self._lru.pop(victim, None)
+        victim = lru_insert(self._lru, key, True, self.entries)
+        if victim is not None:
+            del self._ranges[victim]
         self._ranges[key] = entry
-        self._lru[key] = self._clock
 
     def invalidate(self, virtual_start: int) -> None:
         """Drop the cached range starting at ``virtual_start`` (range shootdown)."""
         if self._ranges.pop(virtual_start, None) is not None:
-            self._lru.pop(virtual_start, None)
+            self._lru.pop(virtual_start)
 
     def hit_rate(self) -> float:
         """RLB hit fraction."""

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, align_down
+from repro.common.lru import lru_insert, lru_touch
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import (
@@ -50,29 +51,22 @@ class _SmallCache:
     def __init__(self, entries: int, latency: int):
         self.entries = entries
         self.latency = latency
-        self._store: Dict[int, int] = {}
-        self._clock = 0
+        #: key -> True, in LRU order (see repro.common.lru).
+        self._store: Dict[int, bool] = {}
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, key: int) -> bool:
-        self._clock += 1
-        if key in self._store:
-            self._store[key] = self._clock
+    def access(self, key: int) -> bool:
+        """Probe ``key`` and leave it most recently used; True on a hit.
+
+        A miss installs the key, evicting the least recently used one.
+        """
+        if lru_touch(self._store, key):
             self.hits += 1
             return True
         self.misses += 1
+        lru_insert(self._store, key, True, self.entries)
         return False
-
-    def fill(self, key: int) -> None:
-        self._clock += 1
-        if key in self._store:
-            self._store[key] = self._clock
-            return
-        if len(self._store) >= self.entries:
-            victim = min(self._store, key=self._store.get)
-            del self._store[victim]
-        self._store[key] = self._clock
 
 
 @dataclass
@@ -134,6 +128,10 @@ class UtopiaTranslation(PageTableBase):
         self._restseg_residency: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
         #: physical frame address -> (pid, virtual base), the reverse index.
         self._frame_to_key: Dict[int, Tuple[int, int]] = {}
+        self._c_walks = self.counters.hot("walks")
+        self._c_restseg_walks = self.counters.hot("restseg_walks")
+        self._c_walk_hits = self.counters.hot("walk_hits")
+        self._c_walk_memory_accesses = self.counters.hot("walk_memory_accesses")
 
     # ------------------------------------------------------------------ #
     # Allocation override (the OS side of Utopia)
@@ -263,7 +261,7 @@ class UtopiaTranslation(PageTableBase):
     # ------------------------------------------------------------------ #
     def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
         """SF-cache probe, then RestSeg tag read (RSW) or FlexSeg radix walk."""
-        self.counters.add("walks")
+        self._c_walks[0] += 1
         latency = self.sf_cache.latency
         accesses = 0
 
@@ -272,28 +270,24 @@ class UtopiaTranslation(PageTableBase):
                       and self._frame_in_restseg(mapping.physical_base))
 
         vpn = virtual_address >> 12
-        self.sf_cache.lookup(vpn)
-        self.sf_cache.fill(vpn)
+        self.sf_cache.access(vpn)
 
         if in_restseg:
             # RSW: read the virtual tags of the set unless the TAR cache hits.
             seg_index, set_index, way = self._restseg_residency.get(
                 self._residency_key(virtual_address, mapping), (0, 0, 0))
             seg = self._restsegs[seg_index]
-            if self.tar_cache.lookup(vpn):
-                latency += self.tar_cache.latency
-            else:
-                latency += self.tar_cache.latency
+            latency += self.tar_cache.latency
+            if not self.tar_cache.access(vpn):
                 # Tags of the whole set are read (they fit in one or two lines).
                 tag_lines = max(1, (seg.associativity * TAG_SIZE) // 64)
                 for line in range(tag_lines):
                     latency += memory.access_address(seg.tag_address(set_index, 0) + line * 64,
                                                      False, MemoryAccessType.TRANSLATION)
                     accesses += 1
-                self.tar_cache.fill(vpn)
-            self.counters.add("restseg_walks")
-            self.counters.add("walk_hits")
-            self.counters.add("walk_memory_accesses", accesses)
+            self._c_restseg_walks[0] += 1
+            self._c_walk_hits[0] += 1
+            self._c_walk_memory_accesses[0] += accesses
             return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                               physical_base=mapping.physical_base,
                               page_size=mapping.page_size, backend_latency=latency)
@@ -305,7 +299,7 @@ class UtopiaTranslation(PageTableBase):
         radix_result.backend_latency += latency
         radix_result.memory_accesses += accesses
         if radix_result.found:
-            self.counters.add("walk_hits")
+            self._c_walk_hits[0] += 1
         else:
             # The mapping may exist functionally (e.g. RestSeg residency known
             # to the OS but not yet inserted); report what the base class knows.
@@ -313,7 +307,7 @@ class UtopiaTranslation(PageTableBase):
                 radix_result.found = True
                 radix_result.physical_base = mapping.physical_base
                 radix_result.page_size = mapping.page_size
-                self.counters.add("walk_hits")
+                self._c_walk_hits[0] += 1
             else:
                 self.counters.add("walk_faults")
         return radix_result
