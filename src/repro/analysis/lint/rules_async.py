@@ -9,8 +9,8 @@ inherits the server's asyncio signal plumbing (the wakeup fd is the
 *parent's* self-pipe, so a reclaim SIGTERM aimed at the worker would
 ghost-drain the server) and the listening socket (an orphan worker
 keeps the port bound after a SIGKILL, blocking the restart).  The
-``_lease_entry`` helper restores ``SIG_DFL`` dispositions, detaches the
-wakeup fd and closes the inherited listen fd before doing any work.
+supervisor's ``_worker_entry`` restores ``SIG_DFL`` dispositions,
+detaches the wakeup fd and closes the inherited listen fd (R10 checks it).
 
 Two checks over the experiments package:
 

@@ -4,9 +4,9 @@ R4 checks fork hygiene one module at a time: a ``Process(target=f)``
 where ``f`` lives in the same file must detach the inherited wakeup fd
 and reset signal dispositions.  That check goes blind the moment the
 entry function delegates — ``Process(target=entry)`` in one module,
-``entry`` importing its hygiene helper from another — which is exactly
-how PR 8's worker entry is structured (``_lease_entry`` detaching the
-parent's asyncio self-pipe and closing the inherited listening fd).
+``entry`` importing its hygiene helper from another, or a fork site in a
+module without asyncio, like the supervisor's ``_worker_entry`` (which
+detaches the server's self-pipe and closes the inherited listening fd).
 This rule re-runs the same contract over the **whole-program** call
 graph:
 

@@ -14,9 +14,9 @@ Two checks, scoped to ``experiments/``:
 
 * **ordering** — any function that journals a ``job_completed`` event
   must contain a result-store write (``store.put`` / ``atomic_write_*``)
-  on an earlier line of the same function body.  The repo deliberately
-  keeps commit points single-function (``ExperimentService._commit``,
-  ``ExperimentServer._complete``), so same-body line order is the
+  on an earlier line of the same function body.  Both supervisor callers
+  commit in one function (``ExperimentService._commit``,
+  ``ExperimentServer._commit``), so same-body line order is the
   honest static approximation of "store first";
 * **failure-path journaling** — in any module that journals at all,
   every failure-exit function (``fail``/``quarantine``/``requeue`` by

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import protocol
 from repro.experiments.faultinject import NetworkFaultPlan
+from repro.experiments.supervisor import job_details, service_counters
 
 #: How long a client keeps retrying through connection failures — this is
 #: what rides out a server SIGKILL + restart window.
@@ -338,16 +339,7 @@ class RemoteService:
         self.workers = workers
 
     def execute(self, worker, jobs: Sequence) -> Dict[str, object]:
-        counters: Dict[str, object] = {
-            "jobs": len(jobs), "mode": "remote",
-            "cache_hits": 0, "cache_misses": 0, "executed": 0,
-            "retries": 0, "crashes": 0, "timeouts": 0,
-            "transient_failures": 0, "errors": 0,
-            "quarantined": 0, "stragglers": 0,
-            "resumed_interrupted": 0, "journal_corrupt_lines": 0,
-            "store_corrupt_objects": 0, "lease_reclaims": 0,
-            "resubmits": 0,
-        }
+        counters = service_counters(len(jobs), "remote")
         client = self.client
         if self.workers is None:
             # First contact: adopt the server's real parallelism.
@@ -410,29 +402,15 @@ class RemoteService:
                     counters["executed"] += 1
                     counters["retries"] += max(0, attempts - 1)
                 counters["lease_reclaims"] += int(response.get("reclaims", 0))
-                details[job.name] = {
-                    "attempts": attempts, "cache_hit": cached,
-                    "backoff_schedule": list(
-                        response.get("backoff_schedule", [])),
-                    "straggler": False}
-            elif status == "failed":
-                failure = dict(response.get("failure") or {})
-                failure.setdefault("name", job.name)
-                failure.setdefault("key", job.key)
+                details[job.name] = job_details(
+                    attempts, cached, response.get("backoff_schedule", []))
+            else:  # failed (quarantined), or cancelled before it ran
+                failure = {"name": job.name, "key": job.key, "attempts": 0,
+                           "reason": "cancelled", "traceback": None}
+                failure.update(response.get("failure") or {})
                 failed.append(failure)
                 counters["quarantined"] += 1
-                details[job.name] = {
-                    "attempts": int(failure.get("attempts", 0)),
-                    "cache_hit": False, "backoff_schedule": [],
-                    "straggler": False}
-            else:  # cancelled
-                failed.append({"name": job.name, "key": job.key,
-                               "attempts": 0, "reason": "cancelled",
-                               "traceback": None})
-                counters["quarantined"] += 1
-                details[job.name] = {"attempts": 0, "cache_hit": False,
-                                     "backoff_schedule": [],
-                                     "straggler": False}
+                details[job.name] = job_details(int(failure["attempts"]))
 
         total = len(jobs)
         counters["cache_hit_rate"] = (round(counters["cache_hits"] / total, 4)

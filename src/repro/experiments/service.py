@@ -1,9 +1,7 @@
-"""Fault-tolerant experiment service: durable, cached, supervised fan-out.
+"""Fault-tolerant experiment service: durable, cached, supervised jobs.
 
-The one-shot ``pool.map`` sweep runner loses every already-computed point
-when a single worker hangs or dies.  This module grows it into a durable
-service shared by every host-parallel path in the repo (sweeps, the
-parity lattice, the perf benches):
+The durable job runner shared by every host-parallel path in the repo
+(sweeps, the parity lattice, the fuzzer, the perf benches):
 
 * every job is **content-addressed** (:func:`repro.experiments.store
   .content_key` over the point configuration + base seed), journaled to
@@ -12,11 +10,12 @@ parity lattice, the perf benches):
   sweep, figure or parity slice reuses every already-computed point and
   a killed host resumes from the journal and finishes with a digest
   byte-identical to a straight-line run;
-* execution is **supervised**: each job runs in its own worker process
-  with a per-job wall-clock timeout, bounded retries with exponential
-  backoff, and straggler detection; a worker crash (``os._exit``), hang
-  (timeout-killed) or transient exception costs one attempt, never the
-  sweep;
+* execution is **supervised** (:mod:`repro.experiments.supervisor`):
+  each attempt runs in its own heartbeating worker process with an
+  optional wall-clock timeout, a heartbeat lease, bounded retries with
+  exponential backoff, and straggler detection; a worker crash
+  (``os._exit``), hang or transient exception costs one attempt, never
+  the run;
 * degraded modes are graceful: a job that exhausts its retries is
   **quarantined** — its name, reason and traceback are recorded under
   ``failed_points`` in the digest while every other point completes;
@@ -26,18 +25,8 @@ parity lattice, the perf benches):
   faulted, resumed, or cached run equals the fault-free ``workers=1``
   run exactly.
 
-Three execution modes, chosen from the configured features:
-
-========== =====================================================
-fan-out    no store/journal/timeout/faults: the classic
-           order-preserving ``pool.map`` path (or inline for one
-           worker) — the fast path ``run_sweep`` uses by default.
-inline     durable but sequential and fault-free: per-job
-           store/journal commits in the parent (the kill-and-
-           resume baseline).
-supervised any of timeout / fault plan / durable parallelism:
-           one supervised worker process per job.
-========== =====================================================
+Without a store the service runs the same supervisor with no journal and
+a temporary scratch directory that is removed when the run ends.
 
 CLI::
 
@@ -54,22 +43,21 @@ straight-line run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import multiprocessing
 import os
 import signal
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
-import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.addresses import MB
-from repro.experiments.faultinject import FaultPlan, TransientFault
+from repro.experiments import protocol
+from repro.experiments.faultinject import FaultPlan
 from repro.experiments.store import (
     Journal,
     ResultStore,
@@ -77,9 +65,15 @@ from repro.experiments.store import (
     atomic_write_json,
     content_key,
 )
+from repro.experiments.supervisor import (
+    ProcessLauncher,
+    Supervisor,
+    Task,
+    job_details,
+    service_counters,
+)
 from repro.experiments.sweep import (
     SweepPoint,
-    fan_out,
     merge_point_digests,
     run_point,  # noqa: F401  (re-exported for service clients)
     simulated_fingerprint,
@@ -93,11 +87,6 @@ POLL_SECONDS = 0.005
 #: Content-address schema tag for sweep jobs (bump on digest layout change).
 SWEEP_JOB_SCHEMA = "sweep_point/v1"
 
-#: A running job this many times slower than the median completed job (and
-#: past the absolute floor) is flagged as a straggler.
-STRAGGLER_FACTOR = 4.0
-STRAGGLER_FLOOR_SECONDS = 0.25
-
 
 @dataclass
 class Job:
@@ -109,53 +98,6 @@ class Job:
     item: object
 
 
-@dataclass
-class _JobState:
-    job: Job
-    attempt: int = 1
-    eligible_at: float = 0.0
-    backoff_schedule: List[float] = field(default_factory=list)
-    last_reason: Optional[str] = None
-    last_traceback: Optional[str] = None
-    straggler: bool = False
-
-
-def _supervised_entry(worker: Callable[[object], Dict[str, object]],
-                      item: object, name: str, attempt: int,
-                      fault_plan: Optional[FaultPlan],
-                      result_path: str) -> None:
-    """Worker-process entry: run one job attempt and commit its outcome.
-
-    The outcome file is written atomically (temp + ``os.replace``), so
-    the supervisor never reads a torn result; an injected crash exits
-    before any file appears, which the supervisor reads as a crash.
-    """
-    # The fork inherits whatever signal plumbing the supervising process
-    # had installed (the soak harness runs this service inside the async
-    # server's process tree): detach any wakeup fd and restore default
-    # dispositions so a timeout-kill aimed at this worker never writes
-    # into a parent's self-pipe.
-    try:
-        signal.set_wakeup_fd(-1)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-    except (ValueError, OSError):
-        pass
-    try:
-        if fault_plan is not None:
-            fault_plan.apply(name, attempt)
-        digest = worker(item)
-        payload: Dict[str, object] = {"status": "ok", "digest": digest}
-    except TransientFault:
-        payload = {"status": "transient", "traceback": traceback.format_exc()}
-    except BaseException:  # noqa: BLE001 - any worker failure must be reported
-        payload = {"status": "error", "traceback": traceback.format_exc()}
-    tmp = f"{result_path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, result_path)
-
-
 class ExperimentService:
     """Durable, supervised executor for content-addressed job grids."""
 
@@ -165,8 +107,6 @@ class ExperimentService:
                  timeout: Optional[float] = None,
                  retries: int = 2,
                  backoff: float = 0.25,
-                 backoff_cap: float = 8.0,
-                 straggler_factor: float = STRAGGLER_FACTOR,
                  fault_plan: Optional[FaultPlan] = None,
                  fsync: bool = True) -> None:
         self.workers = max(1, workers if workers is not None
@@ -182,91 +122,66 @@ class ExperimentService:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.backoff_cap = backoff_cap
-        self.straggler_factor = straggler_factor
         self.fault_plan = fault_plan
 
-    # ----------------------------------------------------------------- #
-    # Mode selection
-    # ----------------------------------------------------------------- #
-    @property
-    def durable(self) -> bool:
-        return self.store is not None or self.journal is not None
-
-    def _mode(self) -> str:
-        if self.fault_plan is not None or self.timeout is not None:
-            return "supervised"
-        if not self.durable:
-            return "fan_out"
-        return "inline" if self.workers == 1 else "supervised"
-
-    # ----------------------------------------------------------------- #
-    # Execution
-    # ----------------------------------------------------------------- #
     def execute(self, worker: Callable[[object], Dict[str, object]],
                 jobs: Sequence[Job]) -> Dict[str, object]:
         """Run every job (cache-first) and return ordered results.
 
-        ``worker`` must be a module-level callable (it crosses process
-        boundaries) returning a JSON-serialisable digest.  The outcome
+        ``worker`` must be a module-level callable (it runs in a worker
+        process) returning a JSON-serialisable digest.  The outcome
         carries ``results`` in submission order (``None`` for quarantined
         jobs), ``failed_points``, service counters and per-job details.
         """
-        mode = self._mode()
-        counters: Dict[str, object] = {
-            "jobs": len(jobs), "mode": mode,
-            "cache_hits": 0, "cache_misses": 0, "executed": 0,
-            "retries": 0, "crashes": 0, "timeouts": 0,
-            "transient_failures": 0, "errors": 0,
-            "quarantined": 0, "stragglers": 0,
-            "resumed_interrupted": 0, "journal_corrupt_lines": 0,
-            "store_corrupt_objects": 0,
-        }
+        counters = service_counters(len(jobs), "supervised")
         self._replay_for_resume(jobs, counters)
         self._journal({"event": "run_started", "jobs": len(jobs),
-                       "mode": mode, "workers": self.workers})
+                       "workers": self.workers})
 
         results: List[Optional[Dict[str, object]]] = [None] * len(jobs)
         details: Dict[str, Dict[str, object]] = {}
-        misses: List[Job] = []
+        failed: List[Dict[str, object]] = []
+        tasks: Dict[Task, Job] = {}
         for job in jobs:
             hit = self.store.get(job.key) if self.store is not None else None
             if hit is not None:
                 results[job.index] = hit["digest"]
                 counters["cache_hits"] += 1
-                details[job.name] = {"attempts": 0, "cache_hit": True,
-                                     "backoff_schedule": [], "straggler": False}
+                details[job.name] = job_details(0, cache_hit=True)
                 self._journal({"event": "cache_hit", "key": job.key,
                                "name": job.name})
             else:
                 counters["cache_misses"] += 1
-                misses.append(job)
+                tasks[Task(job.key, job.name, job.item)] = job
 
-        failed: List[Dict[str, object]] = []
-        if misses:
-            if mode == "fan_out":
-                outputs = fan_out(worker, [job.item for job in misses],
-                                  workers=self.workers)
-                for job, digest in zip(misses, outputs):
-                    results[job.index] = digest
-                    counters["executed"] += 1
-                    details[job.name] = {"attempts": 1, "cache_hit": False,
-                                         "backoff_schedule": [],
-                                         "straggler": False}
-            elif mode == "inline":
-                for job in misses:
-                    self._journal({"event": "attempt_started", "key": job.key,
-                                   "name": job.name, "attempt": 1})
-                    digest = worker(job.item)
-                    self._commit(job, digest)
-                    results[job.index] = digest
-                    counters["executed"] += 1
-                    details[job.name] = {"attempts": 1, "cache_hit": False,
-                                         "backoff_schedule": [],
-                                         "straggler": False}
-            else:
-                self._run_supervised(worker, misses, results, failed,
-                                     counters, details)
+        # The misses run under the supervisor; a store-less run keeps its
+        # scratch files in a temporary directory removed on exit.
+        scratch = (contextlib.nullcontext(self.store.root / "scratch")
+                   if self.store is not None
+                   else tempfile.TemporaryDirectory(prefix="repro-service-"))
+        with scratch as root:
+            Path(root).mkdir(parents=True, exist_ok=True)
+            supervisor = Supervisor(
+                ProcessLauncher(worker, Path(root), fault_plan=self.fault_plan),
+                workers=self.workers, retries=self.retries,
+                backoff=self.backoff, timeout=self.timeout,
+                journal=self.journal)
+            for task in tasks:
+                supervisor.submit(task)
+            while supervisor.busy:
+                for task in supervisor.tick():
+                    job = tasks[task]
+                    if task.status == protocol.JOB_DONE:
+                        self._commit(job, task.digest)
+                        results[job.index] = task.digest
+                    else:
+                        failed.append(task.failure)
+                    details[job.name] = job_details(
+                        task.attempt, backoff_schedule=task.backoff_schedule,
+                        straggler=task.straggler)
+                if supervisor.busy:
+                    time.sleep(POLL_SECONDS)
+        counters.update(supervisor.counters)
 
         if self.store is not None:
             counters["store_corrupt_objects"] = self.store.corrupt_objects
@@ -279,146 +194,6 @@ class ExperimentService:
         return {"results": results, "failed_points": failed,
                 "counters": counters, "job_details": details}
 
-    # ----------------------------------------------------------------- #
-    # Supervised execution: per-job processes, timeout, retry, backoff
-    # ----------------------------------------------------------------- #
-    def _run_supervised(self, worker, misses: List[Job],
-                        results: List[Optional[Dict[str, object]]],
-                        failed: List[Dict[str, object]],
-                        counters: Dict[str, object],
-                        details: Dict[str, Dict[str, object]]) -> None:
-        scratch_root = (self.store.root / "scratch" if self.store is not None
-                        else Path(tempfile.mkdtemp(prefix="repro-service-")))
-        scratch_root.mkdir(parents=True, exist_ok=True)
-        pending: List[_JobState] = [_JobState(job) for job in misses]
-        running: Dict[str, Dict[str, object]] = {}
-        durations: List[float] = []
-
-        def finish(state: _JobState, digest: Dict[str, object]) -> None:
-            self._commit(state.job, digest)
-            results[state.job.index] = digest
-            counters["executed"] += 1
-            details[state.job.name] = {
-                "attempts": state.attempt, "cache_hit": False,
-                "backoff_schedule": list(state.backoff_schedule),
-                "straggler": state.straggler}
-
-        def fail(state: _JobState, reason: str,
-                 trace: Optional[str], now: float) -> None:
-            counter_key = {"crash": "crashes", "timeout": "timeouts",
-                           "transient": "transient_failures"}.get(reason,
-                                                                  "errors")
-            counters[counter_key] += 1
-            state.last_reason, state.last_traceback = reason, trace
-            self._journal({"event": "attempt_failed", "key": state.job.key,
-                           "name": state.job.name, "attempt": state.attempt,
-                           "reason": reason})
-            if state.attempt > self.retries:
-                counters["quarantined"] += 1
-                entry = {"name": state.job.name, "key": state.job.key,
-                         "attempts": state.attempt, "reason": reason,
-                         "traceback": trace}
-                failed.append(entry)
-                details[state.job.name] = {
-                    "attempts": state.attempt, "cache_hit": False,
-                    "backoff_schedule": list(state.backoff_schedule),
-                    "straggler": state.straggler}
-                self._journal({"event": "job_quarantined", "key": state.job.key,
-                               "name": state.job.name, "reason": reason})
-                return
-            delay = min(self.backoff * (2.0 ** (state.attempt - 1)),
-                        self.backoff_cap)
-            state.backoff_schedule.append(round(delay, 6))
-            state.attempt += 1
-            state.eligible_at = now + delay
-            counters["retries"] += 1
-            pending.append(state)
-
-        while pending or running:
-            now = time.monotonic()
-            # Launch every eligible pending job while worker slots remain.
-            launchable = [s for s in pending if s.eligible_at <= now]
-            while launchable and len(running) < self.workers:
-                state = launchable.pop(0)
-                pending.remove(state)
-                result_path = scratch_root / (f"{state.job.key[:16]}"
-                                              f".a{state.attempt}.json")
-                if result_path.exists():
-                    result_path.unlink()
-                process = multiprocessing.Process(
-                    target=_supervised_entry,
-                    args=(worker, state.job.item, state.job.name,
-                          state.attempt, self.fault_plan, str(result_path)))
-                process.daemon = True
-                process.start()
-                self._journal({"event": "attempt_started",
-                               "key": state.job.key, "name": state.job.name,
-                               "attempt": state.attempt, "pid": process.pid})
-                running[state.job.name] = {
-                    "state": state, "process": process, "started": now,
-                    "result_path": result_path}
-
-            # Poll the running set for completions, timeouts and stragglers.
-            for name in list(running):
-                entry = running[name]
-                state: _JobState = entry["state"]
-                process: multiprocessing.Process = entry["process"]
-                elapsed = now - entry["started"]
-                if process.is_alive():
-                    if self.timeout is not None and elapsed > self.timeout:
-                        self._kill(process)
-                        del running[name]
-                        fail(state, "timeout", None, time.monotonic())
-                        continue
-                    if (not state.straggler and len(durations) >= 3):
-                        median = statistics.median(durations)
-                        if elapsed > max(self.straggler_factor * median,
-                                         STRAGGLER_FLOOR_SECONDS):
-                            state.straggler = True
-                            counters["stragglers"] += 1
-                            self._journal({"event": "straggler",
-                                           "name": name,
-                                           "elapsed": round(elapsed, 3)})
-                    continue
-                process.join()
-                del running[name]
-                outcome = self._read_result(entry["result_path"])
-                if outcome is None:
-                    reason = ("crash" if process.exitcode != 0 else "lost")
-                    trace = (f"worker exited with code {process.exitcode} "
-                             f"before reporting a result")
-                    fail(state, reason, trace, time.monotonic())
-                elif outcome.get("status") == "ok":
-                    durations.append(elapsed)
-                    finish(state, outcome["digest"])
-                else:
-                    reason = ("transient" if outcome.get("status") == "transient"
-                              else "error")
-                    fail(state, reason, outcome.get("traceback"),
-                         time.monotonic())
-
-            if pending or running:
-                time.sleep(POLL_SECONDS)
-
-    @staticmethod
-    def _kill(process: multiprocessing.Process) -> None:
-        process.terminate()
-        process.join(0.5)
-        if process.is_alive():
-            process.kill()
-            process.join()
-
-    @staticmethod
-    def _read_result(path: Path) -> Optional[Dict[str, object]]:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
-
-    # ----------------------------------------------------------------- #
-    # Durability plumbing
-    # ----------------------------------------------------------------- #
     def _commit(self, job: Job, digest: Dict[str, object]) -> None:
         if self.store is not None:
             self.store.put(job.key, digest, meta={"name": job.name})
@@ -436,8 +211,6 @@ class ExperimentService:
             return
         records, corrupt = self.journal.replay()
         counters["journal_corrupt_lines"] = corrupt
-        if not records:
-            return
         started = {r.get("key") for r in records
                    if r.get("event") == "attempt_started"}
         finished = {r.get("key") for r in records
@@ -454,6 +227,29 @@ class ExperimentService:
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+
+def run_jobs(kind: str, worker: Callable[[object], Dict[str, object]],
+             jobs: Sequence[Job], workers: Optional[int] = None,
+             store_root: Optional[os.PathLike] = None,
+             server: Optional[str] = None) -> Dict[str, object]:
+    """``execute`` ``jobs`` in-process, or on the server at ``host:port``
+    (which runs its registered ``kind`` worker instead of ``worker``)."""
+    if server is not None:
+        from repro.experiments.client import RemoteService
+
+        service = RemoteService(server, kind, workers=workers)
+    else:
+        service = ExperimentService(workers=workers, store=store_root)
+    with service:
+        return service.execute(worker, jobs)
+
+
+def print_quarantined(failed_points: Sequence[Dict[str, object]]) -> None:
+    """One line per job the service quarantined."""
+    for entry in failed_points:
+        print(f"  QUARANTINED {entry['name']} after {entry['attempts']} "
+              f"attempts ({entry['reason']})")
 
 
 # --------------------------------------------------------------------- #
@@ -510,12 +306,13 @@ def run_resilient_sweep(points: Sequence[SweepPoint],
     if server is not None:
         from repro.experiments.client import RemoteService
 
-        with RemoteService(server, "sweep_point", workers=workers) as service:
-            return run_sweep(points, workers=workers, base_seed=base_seed,
-                             service=service)
-    with ExperimentService(workers=workers, store=store_root,
-                           timeout=timeout, retries=retries, backoff=backoff,
-                           fault_plan=fault_plan, fsync=fsync) as service:
+        service = RemoteService(server, "sweep_point", workers=workers)
+    else:
+        service = ExperimentService(workers=workers, store=store_root,
+                                    timeout=timeout, retries=retries,
+                                    backoff=backoff, fault_plan=fault_plan,
+                                    fsync=fsync)
+    with service:
         return run_sweep(points, workers=workers, base_seed=base_seed,
                          service=service)
 
@@ -541,10 +338,8 @@ def _load_points(path: str) -> List[SweepPoint]:
 def _cmd_run(args: argparse.Namespace) -> int:
     points = (_load_points(args.points) if args.points
               else demo_grid(args.demo, memory_operations=args.demo_ops))
-    fault_plan = None
-    if args.fault_plan:
-        with open(args.fault_plan, "r", encoding="utf-8") as handle:
-            fault_plan = FaultPlan.from_json(handle.read())
+    fault_plan = (FaultPlan.from_json(Path(args.fault_plan).read_text())
+                  if args.fault_plan else None)
     digest = run_resilient_sweep(points, store_root=args.store,
                                  workers=args.workers,
                                  base_seed=args.base_seed,
@@ -563,10 +358,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"transient={service['transient_failures']} "
           f"cache_hit_rate={service['cache_hit_rate']:.0%}")
     print(f"  simulated_sha256={digest['simulated_sha256']}")
-    for entry in digest["failed_points"]:
-        print(f"  QUARANTINED {entry['name']} after {entry['attempts']} "
-              f"attempts ({entry['reason']})")
+    print_quarantined(digest["failed_points"])
     return 1 if digest["failed_points"] else 0
+
+
+#: Journal event -> the per-key set :func:`journal_progress` files it under.
+PROGRESS_EVENTS = {"job_submitted": "submitted", "attempt_started": "started",
+                   "job_completed": "completed",
+                   "job_quarantined": "quarantined",
+                   "job_cancelled": "cancelled", "cache_hit": "cache_hits"}
 
 
 def journal_progress(records: Sequence[Dict[str, object]]) -> Dict[str, int]:
@@ -576,39 +376,18 @@ def journal_progress(records: Sequence[Dict[str, object]]) -> Dict[str, int]:
     reached a terminal event (completed / quarantined / cancelled) —
     after a crash these are exactly the jobs a resume will re-run.
     """
-    submitted: set = set()
-    started: set = set()
-    completed: set = set()
-    quarantined: set = set()
-    cancelled: set = set()
-    cache_hits: set = set()
+    keys: Dict[str, set] = {name: set() for name in PROGRESS_EVENTS.values()}
     for record in records:
-        key = record.get("key")
-        if key is None:
-            continue
-        event = record.get("event")
-        if event == "job_submitted":
-            submitted.add(key)
-        elif event == "attempt_started":
-            started.add(key)
-        elif event == "job_completed":
-            completed.add(key)
-        elif event == "job_quarantined":
-            quarantined.add(key)
-        elif event == "job_cancelled":
-            cancelled.add(key)
-        elif event == "cache_hit":
-            cache_hits.add(key)
-    seen = submitted | started
-    in_flight = seen - completed - quarantined - cancelled
-    return {
-        "keys": len(seen | completed | quarantined | cancelled | cache_hits),
-        "completed": len(completed),
-        "quarantined": len(quarantined),
-        "cancelled": len(cancelled),
-        "cache_hits": len(cache_hits),
-        "in_flight": len(in_flight),
-    }
+        name = PROGRESS_EVENTS.get(record.get("event"))
+        if name is not None and record.get("key") is not None:
+            keys[name].add(record["key"])
+    seen = keys["submitted"] | keys["started"]
+    terminal = keys["completed"] | keys["quarantined"] | keys["cancelled"]
+    rollup = {name: len(keys[name]) for name in
+              ("completed", "quarantined", "cancelled", "cache_hits")}
+    rollup.update(keys=len(seen | terminal | keys["cache_hits"]),
+                  in_flight=len(seen - terminal))
+    return rollup
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
@@ -651,14 +430,6 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count_completed(journal_path: Path) -> int:
-    if not journal_path.exists():
-        return 0
-    journal = Journal(journal_path)
-    records, _ = journal.replay()
-    return sum(1 for r in records if r.get("event") == "job_completed")
-
-
 def _cmd_kill_resume_smoke(args: argparse.Namespace) -> int:
     """Start a sweep, SIGKILL it mid-flight, resume, assert digest identity."""
     from repro.experiments.sweep import run_sweep
@@ -672,10 +443,8 @@ def _cmd_kill_resume_smoke(args: argparse.Namespace) -> int:
         [str(src_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
 
     for round_index in range(1, args.rounds + 1):
-        store_root = Path(args.store) if args.store else Path(
-            tempfile.mkdtemp(prefix="repro-kill-resume-"))
-        if args.store and round_index > 1:
-            store_root = Path(tempfile.mkdtemp(prefix="repro-kill-resume-"))
+        store_root = (Path(args.store) if args.store and round_index == 1
+                      else Path(tempfile.mkdtemp(prefix="repro-kill-resume-")))
         command = [sys.executable, "-m", "repro.experiments.service", "run",
                    "--demo", str(args.points), "--demo-ops", str(args.demo_ops),
                    "--store", str(store_root), "--workers", "1"]
@@ -686,7 +455,8 @@ def _cmd_kill_resume_smoke(args: argparse.Namespace) -> int:
         deadline = time.monotonic() + 120.0
         completed = 0
         while child.poll() is None and time.monotonic() < deadline:
-            completed = _count_completed(journal_path)
+            completed = (journal_progress(Journal(journal_path).replay()[0])
+                         ["completed"] if journal_path.exists() else 0)
             if 1 <= completed < len(points):
                 break
             time.sleep(0.003)

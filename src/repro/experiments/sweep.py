@@ -2,9 +2,9 @@
 
 A sweep is a list of :class:`SweepPoint` descriptions — each one names a
 workload (by registry name, so points are picklable) and the system knobs it
-runs under.  :func:`run_sweep` executes every point, either inline
-(``workers=1``, the sequential baseline) or on a ``multiprocessing`` pool,
-and merges the per-point report digests into one sweep digest.
+runs under.  :func:`run_sweep` executes every point in supervised worker
+processes, ``workers`` at a time, and merges the per-point report digests
+into one sweep digest.
 
 Determinism rules (the part that makes host parallelism safe):
 
@@ -14,25 +14,25 @@ Determinism rules (the part that makes host parallelism safe):
   count cannot influence any simulated statistic;
 * each point builds its whole system inside the worker, so no simulator
   state crosses process boundaries — only the input :class:`SweepPoint` and
-  the output digest dict travel (both plain picklable data);
-* results are collected with ``pool.map``, which preserves submission
-  order, so the merged digest is byte-identical no matter how many workers
-  ran it or how they were scheduled.
+  the output digest dict travel (both plain JSON data);
+* results are merged in submission order, so the merged digest is
+  byte-identical no matter how many workers ran it or how they were
+  scheduled.
 
 ``tests/test_fast_engine.py`` and the perf smoke gate assert the
 workers=1 vs workers=N digests are identical.
 
 Execution is delegated to the fault-tolerant experiment service
-(:mod:`repro.experiments.service`): the default path is the classic
-ephemeral fan-out, and the same grid gains durability (content-addressed
-result caching, journaled kill-and-resume, per-job timeouts, bounded
-retries with backoff, quarantine of jobs that exhaust their retries)
-when run through :func:`repro.experiments.service.run_resilient_sweep`.
+(:mod:`repro.experiments.service`): by default without a store, and with
+durability (content-addressed result caching, journaled kill-and-resume,
+per-job timeouts) when run through
+:func:`repro.experiments.service.run_resilient_sweep`.  Either way a job
+whose worker crashes, hangs past its lease or raises is retried with
+backoff and quarantined once its retries are exhausted.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import zlib
@@ -41,6 +41,16 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.common.addresses import MB
 from repro.common.config import PageTableConfig, SystemConfig, scaled_system_config
+# The simulator is imported here, not inside the worker, so every forked
+# worker inherits it instead of paying the import per job.
+from repro.core.multicore import MultiCoreVirtuoso
+from repro.core.virtuoso import Virtuoso
+from repro.pagetables.factory import registered_kinds
+from repro.workloads.multiproc import (
+    MULTIPROCESS_SCENARIOS,
+    build_multiprocess_scenario,
+)
+from repro.workloads.registry import build_workload, workload_names
 
 
 @dataclass
@@ -74,17 +84,13 @@ def validate_points(points: Sequence[SweepPoint]) -> None:
 
     Checks run *before* any worker is spawned: unknown workload/scenario
     names and unknown page-table kinds would otherwise
-    surface as a deep traceback inside a pool worker; duplicate point
+    surface as a deep traceback inside a worker process; duplicate point
     names are outright dangerous — they silently collide in
     :func:`point_seed` *and* in the content-addressed result store (two
     different configs sharing a name still hash differently in the store,
     but their crc32 seeds would collide; identical configs would
     double-count), so both are rejected here.
     """
-    from repro.pagetables.factory import registered_kinds
-    from repro.workloads.multiproc import MULTIPROCESS_SCENARIOS
-    from repro.workloads.registry import workload_names
-
     seen: Dict[str, int] = {}
     for index, point in enumerate(points):
         if point.name in seen:
@@ -146,13 +152,6 @@ def kips_value(instructions: int, host_seconds: float) -> float:
 
 def run_point(point: SweepPoint, base_seed: int = 0) -> Dict[str, object]:
     """Build and run one sweep point; returns a picklable report digest."""
-    # Imports stay inside the worker entry point so a spawn-context pool
-    # (or a future worker without the parent's module state) is self-reliant.
-    from repro.core.multicore import MultiCoreVirtuoso
-    from repro.core.virtuoso import Virtuoso
-    from repro.workloads.multiproc import build_multiprocess_scenario
-    from repro.workloads.registry import build_workload
-
     seed = point_seed(point, base_seed)
     config = _build_config(point)
     start = time.perf_counter()
@@ -225,48 +224,22 @@ def simulated_fingerprint(digests: Sequence[Dict[str, object]]) -> str:
     return content_key(simulated_digest(digests))
 
 
-def fan_out(worker, items: Sequence[object],
-            workers: Optional[int] = None) -> List[object]:
-    """Map ``worker`` over ``items`` inline or on a ``multiprocessing`` pool.
-
-    The shared fan-out primitive of the host-parallel runners (this sweep
-    module and the differential parity matrix in
-    :mod:`repro.validation.parity`): ``workers=1`` runs inline, ``workers>1``
-    uses a pool with ``pool.map`` (order-preserving, so results are
-    byte-identical for any worker count as long as ``worker`` is
-    deterministic in its item).  ``worker`` must be a module-level function
-    and every item picklable.
-    """
-    if workers is None:
-        workers = max(1, os.cpu_count() or 1)
-    # Never spin more pool processes than there are items, and run a
-    # single-item (or single-worker) fan-out inline: a 1-item list with
-    # workers=8 used to pay for a full pool it could not use.
-    workers = max(1, min(workers, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(worker, items, chunksize=1)
-
-
 def run_sweep(points: Sequence[SweepPoint], workers: Optional[int] = None,
               base_seed: int = 0,
               service: Optional[object] = None) -> Dict[str, object]:
     """Run every point through the experiment service; return the digest.
 
-    ``workers=1`` runs inline (no pool — the sequential wall-clock
-    baseline); ``workers>1`` fans the grid over a ``multiprocessing`` pool.
-    The default uses every host core.  Simulated statistics are identical
-    for any worker count (see the module determinism rules).
+    ``workers`` bounds the concurrent worker processes (``workers=1`` is
+    the sequential wall-clock baseline); the default uses every host core.
+    Simulated statistics are identical for any worker count (see the
+    module determinism rules).
 
     Execution is delegated to an
     :class:`~repro.experiments.service.ExperimentService` — by default an
-    ephemeral one (no store, no journal: exactly the classic fan-out), but
-    passing ``service`` (or using
+    ephemeral one (no store, no journal), but passing ``service`` (or using
     :func:`~repro.experiments.service.run_resilient_sweep`) adds content-
-    addressed result caching, journaled resume, per-job timeouts and
-    retry/quarantine semantics without changing a single simulated
-    statistic.  The digest gains ``simulated_sha256`` (the byte-identity
+    addressed result caching, journaled resume and per-job timeouts
+    without changing a single simulated statistic.  The digest gains ``simulated_sha256`` (the byte-identity
     fingerprint of the simulated slice), ``failed_points`` (quarantined
     jobs) and a ``service`` counters section.
     """

@@ -53,9 +53,12 @@ from repro.common.config import (
     scaled_system_config,
 )
 from repro.common.rng import DeterministicRNG
+from repro.core.multicore import MultiCoreVirtuoso
+from repro.core.virtuoso import Virtuoso
 from repro.pagetables.factory import nested_capable_kinds, registered_kinds
 from repro.validation import corpus
 from repro.validation.parity import diff_stats, flatten_stats, memo_extensions, stats_digest
+from repro.workloads.registry import build_workload
 from repro.workloads.schedule import KernelOpSpec, OpSchedule, ScheduledWorkload
 
 #: Content-address schema for fuzz jobs in the experiment-service store
@@ -336,11 +339,6 @@ class KernelOpExecutor:
 def run_scenario_stats(scenario: FuzzScenario, memo: bool = True) -> Dict[str, object]:
     """Simulate one scenario (VPN memo on or off); its flattened statistics
     plus the applied/skipped kernel-op counters."""
-    # Imports inside the worker entry point, as the service pattern demands.
-    from repro.core.multicore import MultiCoreVirtuoso
-    from repro.core.virtuoso import Virtuoso
-    from repro.workloads.registry import build_workload
-
     system_config = build_fuzz_config(scenario.config)
     seed = scenario_seed(scenario)
     extensions = memo_extensions(memo)
@@ -651,7 +649,7 @@ def run_fuzz(budget: int, seed: int, workers: Optional[int] = None,
     wall-clock/service counters is a pure function of
     ``(seed, budget, max_ops)``.
     """
-    from repro.experiments.service import ExperimentService, Job
+    from repro.experiments.service import Job, run_jobs
 
     start = time.perf_counter()
     generated = generate_scenarios(budget, seed, max_ops)
@@ -661,15 +659,8 @@ def run_fuzz(budget: int, seed: int, workers: Optional[int] = None,
     jobs = [Job(index=index, name=scenario.name, key=scenario_key(scenario),
                 item=scenario.to_json())
             for index, (scenario, _cursor) in enumerate(generated)]
-    if server is not None:
-        from repro.experiments.client import RemoteService
-
-        with RemoteService(server, "fuzz_scenario",
-                           workers=workers) as service:
-            outcome = service.execute(run_fuzz_scenario, jobs)
-    else:
-        with ExperimentService(workers=workers, store=store_root) as service:
-            outcome = service.execute(run_fuzz_scenario, jobs)
+    outcome = run_jobs("fuzz_scenario", run_fuzz_scenario, jobs, workers,
+                       store_root, server)
 
     divergent: List[Tuple[int, Dict[str, object]]] = []
     crashes: List[Dict[str, object]] = []
@@ -720,6 +711,7 @@ def run_fuzz(budget: int, seed: int, workers: Optional[int] = None,
         "divergences": [digest["divergence"] for _i, digest in divergent],
         "crashes": crashes,
         "quarantined": quarantined,
+        "failed_points": outcome["failed_points"],
         "coverage": coverage.stats(),
         "reproducers": sorted(reproducers),
         "shrink_checks": shrink_checks,
@@ -897,7 +889,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for raw in summary["divergences"]:
         print(f"  DIVERGENCE {raw['point']}: {raw['field']} "
               f"(memo off={raw['reference_value']!r}, memo on={raw['fast_value']!r})")
-    return 1 if summary["divergences"] else 0
+    for crash in summary["crashes"]:
+        print(f"  CRASH {crash['point']}: {crash['crash']}")
+    from repro.experiments.service import print_quarantined
+
+    print_quarantined(summary["failed_points"])
+    return 1 if (summary["divergences"] or summary["crashes"]
+                 or summary["quarantined"]) else 0
 
 
 if __name__ == "__main__":

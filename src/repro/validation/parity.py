@@ -63,9 +63,13 @@ from repro.common.config import (
 )
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import LatencyDistribution
+from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.report import SimulationReport
+from repro.core.virtuoso import Virtuoso
 from repro.mmu.extensions import MMUExtensions
 from repro.pagetables.factory import nested_capable_kinds, registered_kinds
+from repro.workloads.multiproc import build_multiprocess_scenario
+from repro.workloads.registry import build_workload
 
 #: Keys whose values legitimately differ between runs (host-side timing
 #: and fast-path diagnostics) and are therefore excluded from the diff.
@@ -304,13 +308,6 @@ def memo_extensions(memo: bool) -> Optional[MMUExtensions]:
 
 def run_point(point: ParityPoint, memo: bool = True) -> SimulationReport:
     """Simulate one lattice point, with the VPN memo on or off."""
-    # Imports live inside the worker entry point (the pool pattern the
-    # sweep runner established) so workers are self-reliant.
-    from repro.core.multicore import MultiCoreVirtuoso
-    from repro.core.virtuoso import Virtuoso
-    from repro.workloads.multiproc import build_multiprocess_scenario
-    from repro.workloads.registry import build_workload
-
     config = build_config(point)
     seed = point_seed(point)
     extensions = memo_extensions(memo)
@@ -442,7 +439,7 @@ def run_matrix(points: Sequence[ParityPoint],
     ``server`` (``host:port``) execution targets a running
     :mod:`repro.experiments.server` instead — same summary, shared store.
     """
-    from repro.experiments.service import ExperimentService, Job
+    from repro.experiments.service import Job, run_jobs
 
     if not points:
         raise ValueError("need at least one parity point")
@@ -450,23 +447,18 @@ def run_matrix(points: Sequence[ParityPoint],
                 item=point)
             for index, point in enumerate(points)]
     start = time.perf_counter()
-    if server is not None:
-        from repro.experiments.client import RemoteService
-
-        with RemoteService(server, "parity_point",
-                           workers=workers) as service:
-            outcome = service.execute(run_parity_point, jobs)
-    else:
-        with ExperimentService(workers=workers, store=store_root) as service:
-            outcome = service.execute(run_parity_point, jobs)
+    outcome = run_jobs("parity_point", run_parity_point, jobs, workers,
+                       store_root, server)
     wall_seconds = time.perf_counter() - start
     digests = [d for d in outcome["results"] if d is not None]
     divergences = [d["divergence"] for d in digests if d["divergence"] is not None]
     return {
         "schema": "parity_matrix/v1",
+        "jobs": len(jobs),
         "points": len(digests),
         "identical": sum(1 for d in digests if d["identical"]),
         "divergences": divergences,
+        "failed_points": outcome["failed_points"],
         "wall_seconds": round(wall_seconds, 4),
         "service": outcome["counters"],
         "results": digests,
@@ -538,11 +530,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     service = summary["service"]
     cached = (f", {service['cache_hits']} cached" if service["cache_hits"]
               else "")
-    print(f"parity matrix: {summary['identical']}/{summary['points']} points "
+    print(f"parity matrix: {summary['identical']}/{summary['jobs']} points "
           f"identical in {summary['wall_seconds']:.1f}s ({scope}{cached})")
     for raw in summary["divergences"]:
         print(f"  DIVERGENCE {DivergenceRecord(**raw)}")
-    return 1 if summary["divergences"] else 0
+    from repro.experiments.service import print_quarantined
+
+    print_quarantined(summary["failed_points"])
+    return 1 if summary["divergences"] or summary["failed_points"] else 0
 
 
 if __name__ == "__main__":

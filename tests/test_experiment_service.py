@@ -6,8 +6,7 @@ the ``simulated_sha256`` byte-identity fingerprint: a crashed, hung,
 flaky, killed-and-resumed or cache-served sweep must compute *exactly*
 the simulation a fault-free ``workers=1`` straight-line run computes.
 
-Also covers the satellite hardening: ``fan_out`` pool capping and
-single-item short-circuit, eager ``SweepPoint`` validation, the
+Also covers the satellite hardening: eager ``SweepPoint`` validation, the
 sub-resolution ``host_seconds`` division guards, and corruption recovery
 in both the journal (truncated line) and the object store.
 """
@@ -16,16 +15,18 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from repro.common.addresses import MB
-from repro.experiments import sweep as sweep_module
 from repro.experiments.faultinject import FaultAction, FaultPlan, TransientFault
 from repro.experiments.service import (
+    ExperimentService,
     demo_grid,
     run_resilient_sweep,
     sweep_job_key,
@@ -33,7 +34,6 @@ from repro.experiments.service import (
 from repro.experiments.store import Journal, ResultStore, content_key
 from repro.experiments.sweep import (
     SweepPoint,
-    fan_out,
     kips_value,
     merge_point_digests,
     run_sweep,
@@ -53,32 +53,6 @@ def tiny_grid(count: int = 4) -> list:
 def straight_line():
     """The fault-free sequential baseline every faulted run must match."""
     return run_sweep(tiny_grid(), workers=1)
-
-
-# --------------------------------------------------------------------- #
-# Satellite: fan_out sizing
-# --------------------------------------------------------------------- #
-class TestFanOut:
-    def test_single_item_short_circuits_inline(self, monkeypatch):
-        def forbidden_pool(*_args, **_kwargs):
-            raise AssertionError("a 1-item fan-out must not spin a pool")
-
-        monkeypatch.setattr(sweep_module.multiprocessing, "Pool",
-                            forbidden_pool)
-        assert fan_out(len, ["abc"], workers=8) == [3]
-
-    def test_pool_size_capped_at_item_count(self, monkeypatch):
-        seen = {}
-        real_pool = sweep_module.multiprocessing.Pool
-
-        def capturing_pool(processes=None):
-            seen["processes"] = processes
-            return real_pool(processes=processes)
-
-        monkeypatch.setattr(sweep_module.multiprocessing, "Pool",
-                            capturing_pool)
-        assert fan_out(len, ["ab", "cde"], workers=8) == [2, 3]
-        assert seen["processes"] == 2
 
 
 # --------------------------------------------------------------------- #
@@ -275,6 +249,94 @@ class TestFaultMatrix:
         assert plan_a.counts() == {"crash": 1, "hang": 1, "flaky": 1}
         rehydrated = FaultPlan.from_json(plan_a.to_json())
         assert rehydrated.actions == plan_a.actions
+
+
+# --------------------------------------------------------------------- #
+# Supervised execution: scratch hygiene and hard worker deaths
+# --------------------------------------------------------------------- #
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+
+#: A store-less two-worker sweep in which one point's worker dies hard
+#: (``os._exit``) on every attempt.
+HARD_DEATH_SCRIPT = """
+import json, os
+from repro.common.addresses import MB
+from repro.experiments import sweep
+
+real_worker = sweep._worker
+
+def dying_worker(args):
+    if args[0].name == "die":
+        os._exit(9)
+    return real_worker(args)
+
+sweep._worker = dying_worker
+points = [sweep.SweepPoint(name=name, workload="RND",
+                           workload_kwargs={"footprint_bytes": 1 * MB,
+                                            "memory_operations": 300,
+                                            "prefault": True, "seed": 1})
+          for name in ("ok-0", "die", "ok-1", "ok-2")]
+digest = sweep.run_sweep(points, workers=2)
+print(json.dumps({"completed": [p["name"] for p in digest["points"]],
+                  "failed": digest["failed_points"]}))
+"""
+
+
+def src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_ROOT)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+class TestSupervisedExecution:
+    def test_scratch_is_empty_after_durable_runs(self, tmp_path,
+                                                 straight_line):
+        points = tiny_grid()
+        run_resilient_sweep(points, store_root=tmp_path / "clean", workers=2)
+        assert list((tmp_path / "clean" / "scratch").iterdir()) == []
+        plan = FaultPlan(actions=[
+            FaultAction("svc-0", 1, "crash"),
+            FaultAction("svc-1", 1, "hang", hang_seconds=30.0),
+            FaultAction("svc-2", 1, "flaky")])
+        digest = run_resilient_sweep(points, store_root=tmp_path / "faulted",
+                                     workers=2, timeout=0.75, retries=2,
+                                     backoff=0.01, fault_plan=plan)
+        service = digest["service"]
+        assert (service["crashes"], service["timeouts"],
+                service["transient_failures"]) == (1, 1, 1)
+        assert digest["simulated_sha256"] == straight_line["simulated_sha256"]
+        assert list((tmp_path / "faulted" / "scratch").iterdir()) == []
+
+    def test_storeless_run_removes_its_scratch_directory(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        for service in (None, ExperimentService(workers=2, timeout=30.0)):
+            digest = run_sweep(tiny_grid(2), workers=2, service=service)
+            assert len(digest["points"]) == 2
+            assert list(tmp_path.iterdir()) == []
+
+    def test_hard_worker_death_is_quarantined_not_hung(self):
+        """A worker that dies without reporting costs attempts, then a
+        quarantine; the store-less sweep still returns.  Run in a child
+        process so a hang fails the test instead of stalling the suite."""
+        child = subprocess.Popen([sys.executable, "-c", HARD_DEATH_SCRIPT],
+                                 env=src_env(), stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True,
+                                 start_new_session=True)
+        try:
+            stdout, stderr = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("a store-less sweep hung on a hard worker death")
+        assert child.returncode == 0, stderr
+        outcome = json.loads(stdout.strip().splitlines()[-1])
+        assert outcome["completed"] == ["ok-0", "ok-1", "ok-2"]
+        [failed] = outcome["failed"]
+        assert failed["name"] == "die" and failed["reason"] == "crash"
+        assert failed["attempts"] == 3
+        assert "exited with code 9" in failed["traceback"]
 
 
 # --------------------------------------------------------------------- #

@@ -347,3 +347,48 @@ class TestDeterminismAndResume:
         assert _stable(resumed) == _stable(reference)
         if completed_before_kill:
             assert resumed["service"]["cache_hits"] >= 1
+
+
+# --------------------------------------------------------------------- #
+# CLI exit codes: crashes and quarantines fail the campaign
+# --------------------------------------------------------------------- #
+class TestCliExitCode:
+    ARGS = ["--budget", "3", "--seed", "7", "--workers", "2", "--no-bank"]
+
+    @staticmethod
+    def stub_scenarios(monkeypatch, crash=None, die=None):
+        """Replace the scenario worker with an instant verdict: scenario
+        ``crash`` crashes on both sides, scenario ``die`` kills its
+        worker on every attempt, the rest are identical."""
+        raws = [scenario.to_json()
+                for scenario, _cursor in generate_scenarios(3, 7, 8)]
+
+        def stub(raw):
+            if die is not None and raw == raws[die]:
+                os._exit(5)
+            crashed = crash is not None and raw == raws[crash]
+            return {"point": FuzzScenario.from_json(raw).name,
+                    "outcome": "crash" if crashed else "identical",
+                    "crash": ({"type": "RuntimeError", "message": "boom"}
+                              if crashed else None),
+                    "divergence": None}
+
+        monkeypatch.setattr(fuzz, "run_fuzz_scenario", stub)
+
+    def test_clean_campaign_exits_zero(self, monkeypatch, capsys):
+        self.stub_scenarios(monkeypatch)
+        assert fuzz.main(self.ARGS) == 0
+        assert "3/3 identical" in capsys.readouterr().out
+
+    def test_crash_exits_nonzero(self, monkeypatch, capsys):
+        self.stub_scenarios(monkeypatch, crash=1)
+        assert fuzz.main(self.ARGS) == 1
+        out = capsys.readouterr().out
+        assert "1 crashing" in out and "CRASH" in out
+
+    def test_quarantined_scenario_exits_nonzero(self, monkeypatch, capsys):
+        self.stub_scenarios(monkeypatch, die=2)
+        assert fuzz.main(self.ARGS) == 1
+        out = capsys.readouterr().out
+        assert "1 quarantined" in out
+        assert "after 3 attempts (crash)" in out

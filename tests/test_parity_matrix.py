@@ -18,6 +18,8 @@ Four families:
   allocator can never alias simulated physical memory.
 """
 
+import json
+
 import pytest
 
 from repro.common.addresses import FALLBACK_FRAME_BASE, GB, MB, PAGE_SIZE_4K, align_down, page_number
@@ -277,3 +279,45 @@ class TestBumpFrameAllocator:
             _BumpFrameAllocator(base=1 << 30, physical_memory_bytes=4 * GB)
         with pytest.raises(ValueError, match="alias"):
             _BumpFrameAllocator(physical_memory_bytes=(FALLBACK_FRAME_BASE) * 2)
+
+
+# --------------------------------------------------------------------- #
+# CLI exit codes: a quarantined point fails the run
+# --------------------------------------------------------------------- #
+class TestCliExitCode:
+    @staticmethod
+    def stub_points(monkeypatch, failing=None):
+        """Replace the per-point worker with an instant identical digest,
+        raising on every attempt of the ``failing`` point."""
+        from repro.validation import parity
+
+        def stub(point):
+            if point.name == failing:
+                raise RuntimeError("injected worker failure")
+            return {"point": point.name, "identical": True, "divergence": None}
+
+        monkeypatch.setattr(parity, "run_parity_point", stub)
+        return parity
+
+    def test_quarantined_point_exits_nonzero(self, monkeypatch, capsys,
+                                             tmp_path):
+        victim = sample_lattice(1)[0].name
+        parity = self.stub_points(monkeypatch, failing=victim)
+        summary_path = tmp_path / "summary.json"
+        code = parity.main(["--sample", "1", "--workers", "2",
+                            "--json", str(summary_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        summary = json.loads(summary_path.read_text())
+        jobs = len(sample_lattice(1))
+        assert summary["jobs"] == jobs and summary["points"] == jobs - 1
+        [failed] = summary["failed_points"]
+        assert failed["name"] == victim and failed["reason"] == "error"
+        assert f"{jobs - 1}/{jobs} points identical" in out
+        assert f"QUARANTINED {victim} after 3 attempts (error)" in out
+
+    def test_clean_run_exits_zero(self, monkeypatch, capsys):
+        parity = self.stub_points(monkeypatch)
+        assert parity.main(["--sample", "1", "--workers", "2"]) == 0
+        jobs = len(sample_lattice(1))
+        assert f"{jobs}/{jobs} points identical" in capsys.readouterr().out
