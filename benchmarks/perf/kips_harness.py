@@ -32,7 +32,6 @@ from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.virtuoso import Virtuoso
 from repro.validation.parity import stats_digest
 from repro.workloads import GUPSWorkload, LLMInferenceWorkload, SequentialWorkload
-from repro.workloads.base import vectorization_enabled
 from repro.workloads.multiproc import GuestMixWorkload, contention_pair
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -247,8 +246,7 @@ def measure_all(repeats: int = REPEATS) -> Dict[str, object]:
             "reference_calibration_s": calibration.REFERENCE_CALIBRATION_S,
         },
         "repeats": repeats,
-        "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "vectorized_generation": vectorization_enabled()},
+        "host": {"python": platform.python_version(), "machine": platform.machine()},
         "scenarios": scenarios,
         "code_size": code_size(),
     }

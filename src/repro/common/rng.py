@@ -17,9 +17,9 @@ T = TypeVar("T")
 class DeterministicRNG:
     """A seeded random source with the handful of draws the simulator needs.
 
-    Wraps :class:`random.Random` rather than numpy's generator because most
-    draws are scalar and interleaved with Python control flow; numpy arrays
-    are used directly by the workload generators when bulk draws matter.
+    Wraps :class:`random.Random`: most draws are scalar and interleaved
+    with Python control flow, and the bulk helpers (:meth:`random_list`,
+    :meth:`randint_list`) serve the whole-list workload generators.
     """
 
     def __init__(self, seed: int = 0):
@@ -63,9 +63,9 @@ class DeterministicRNG:
         """``count`` uniform floats, drawn from the *same* stream as
         :meth:`random`.
 
-        Bulk helper for the vectorised workload generators: calling
+        Bulk helper for the whole-list workload generators: calling
         ``random_list(n)`` consumes exactly the draws that ``n`` scalar
-        :meth:`random` calls would, so array-building code can hoist its
+        :meth:`random` calls would, so list-building code can hoist its
         draws without perturbing reproducibility.
         """
         random = self._random.random

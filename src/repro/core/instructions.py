@@ -119,7 +119,7 @@ class InstructionBatch:
     @classmethod
     def from_arrays(cls, kinds: List[int], pcs: List[int],
                     addresses: List[Optional[int]]) -> "InstructionBatch":
-        """Adopt pre-built parallel arrays (the vectorised generators' path)."""
+        """Adopt pre-built parallel arrays (the whole-list generators' path)."""
         batch = cls()
         batch.kinds = kinds
         batch.pcs = pcs

@@ -13,7 +13,8 @@ the four properties the experiments depend on (see DESIGN.md §2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+import importlib.util
+from typing import Iterable, Iterator, List, Optional
 
 from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.rng import DeterministicRNG
@@ -27,52 +28,33 @@ from repro.core.instructions import (
 )
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
-from repro.mimicos.vma import VMAKind, VirtualMemoryArea
-
-try:  # numpy is optional: install the `[fast]` extra to vectorise generation.
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI images bundle numpy
-    _np = None
+from repro.mimicos.vma import VirtualMemoryArea
 
 #: Categories used by Fig. 1 and the workload registry.
 LONG_RUNNING = "long_running"
 SHORT_RUNNING = "short_running"
 
-#: Module switch for numpy-backed instruction-array construction.  The
-#: vectorised and pure-python generators emit bit-identical (kind, pc,
-#: address) sequences — RNG draws included — so this only moves host time.
-_VECTORIZE = _np is not None
-
 
 def numpy_available() -> bool:
-    """True when numpy is importable in this environment."""
-    return _np is not None
+    """True when the array library is importable here; a host fact for
+    benchmark reports only (it is located, never imported, and every
+    generator is pure Python)."""
+    return importlib.util.find_spec("numpy") is not None
 
 
 def vectorization_enabled() -> bool:
-    """True when workload generators should build arrays through numpy."""
-    return _VECTORIZE
-
-
-def set_vectorization(enabled: bool) -> bool:
-    """Toggle numpy-backed generation; returns the effective state.
-
-    Requesting ``True`` without numpy installed silently stays on the
-    pure-python fallback (the sequences are identical either way).
-    """
-    global _VECTORIZE
-    _VECTORIZE = bool(enabled) and _np is not None
-    return _VECTORIZE
+    """Always False: generation has one pure-Python path (a host fact kept
+    for benchmark reports that record it)."""
+    return False
 
 
 def chunk_arrays(kinds: List[int], pcs: List[int], operands: List[Optional[int]],
                  batch_size: int) -> Iterator[InstructionBatch]:
     """Slice fully built parallel arrays into :class:`InstructionBatch` chunks.
 
-    The vectorised generators build whole-run (or whole-segment) arrays in
-    one shot and hand them here; memory stays bounded by the workload's
-    ``memory_operations`` budget, which is figure-scale (tens of thousands),
-    not trace-scale.
+    Generators that build whole-run arrays in one shot hand them here;
+    memory stays bounded by the workload's ``memory_operations`` budget,
+    which is figure-scale (tens of thousands), not trace-scale.
     """
     total = len(kinds)
     if total <= batch_size:
@@ -167,102 +149,40 @@ class StreamBuilder:
 
         Every memory access is preceded by ``compute_per_memory`` compute
         instructions (the last a branch); stores are taken from ``writes``
-        or drawn with probability ``write_fraction``.  When numpy is
-        available (and :func:`vectorization_enabled`), the arrays are
-        assembled wholesale instead of element by element; both assemblies
-        emit the same sequence, RNG draws included.
+        or drawn with probability ``write_fraction`` (one RNG draw per
+        address).  The kind, PC and operand columns are assembled as whole
+        lists: a repeated per-access kind pattern with the memory column set
+        by one extended-slice assignment, and PCs sliced from a ring of
+        ``pc_count`` entries that resumes where the previous call stopped.
         """
-        if _VECTORIZE:
-            return self._emit_batches_vectorized(addresses, writes, batch_size)
-        return self._emit_batches_scalar(addresses, writes, batch_size)
-
-    def _emit_batches_scalar(self, addresses: Iterable[int],
-                             writes: Optional[Iterable[bool]],
-                             batch_size: int) -> Iterator["InstructionBatch"]:
-        write_iter = iter(writes) if writes is not None else None
-        rng_random = self.rng.random
-        write_fraction = self.write_fraction
-        compute_per_memory = self.compute_per_memory
-        pc_base = self.pc_base
-        pc_count = self.pc_count
-        last_compute = compute_per_memory - 1
-        per_operation = compute_per_memory + 1
-
-        batch = InstructionBatch()
-        kinds = batch.kinds
-        pcs = batch.pcs
-        operands = batch.addresses
-        count = 0
-        cursor = self._pc_cursor
-        for address in addresses:
-            for index in range(compute_per_memory):
-                kinds.append(OP_BRANCH if index == last_compute else OP_ALU)
-                pcs.append(pc_base + (cursor % pc_count) * 4)
-                cursor += 1
-                operands.append(None)
-            if write_iter is not None:
-                is_write = next(write_iter, False)
-            else:
-                is_write = rng_random() < write_fraction
-            kinds.append(OP_STORE if is_write else OP_LOAD)
-            pcs.append(pc_base + (cursor % pc_count) * 4)
-            cursor += 1
-            operands.append(address)
-            count += per_operation
-            if count >= batch_size:
-                self._pc_cursor = cursor
-                yield batch
-                batch = InstructionBatch()
-                kinds = batch.kinds
-                pcs = batch.pcs
-                operands = batch.addresses
-                count = 0
-        self._pc_cursor = cursor
-        if count:
-            yield batch
-
-    def _emit_batches_vectorized(self, addresses: Iterable[int],
-                                 writes: Optional[Iterable[bool]],
-                                 batch_size: int) -> Iterator["InstructionBatch"]:
-        """numpy assembly of the :meth:`emit_batches` sequence.
-
-        The write draws are taken from the same RNG stream in the same order
-        as the scalar path (one :meth:`DeterministicRNG.random` per address),
-        then the kinds/pcs/operands columns are built as whole arrays.
-        """
-        np = _np
         address_list = addresses if isinstance(addresses, list) else list(addresses)
         n = len(address_list)
-        if n == 0:
-            return
         compute_per_memory = self.compute_per_memory
         per_operation = compute_per_memory + 1
         if writes is not None:
             write_iter = iter(writes)
-            write_flags = [bool(next(write_iter, False)) for _ in range(n)]
+            memory_kinds = [OP_STORE if next(write_iter, False) else OP_LOAD
+                            for _ in range(n)]
         else:
             write_fraction = self.write_fraction
-            write_flags = [draw < write_fraction
-                           for draw in self.rng.random_list(n)]
+            memory_kinds = [OP_STORE if draw < write_fraction else OP_LOAD
+                            for draw in self.rng.random_list(n)]
 
-        kinds = np.empty((n, per_operation), dtype=np.int64)
-        if compute_per_memory > 0:
-            kinds[:, :compute_per_memory] = OP_ALU
-            kinds[:, compute_per_memory - 1] = OP_BRANCH
-        kinds[:, compute_per_memory] = np.where(
-            np.asarray(write_flags, dtype=bool), OP_STORE, OP_LOAD)
-
+        compute = ([OP_ALU] * (compute_per_memory - 1) + [OP_BRANCH]
+                   if compute_per_memory else [])
+        kinds = (compute + [OP_LOAD]) * n
+        kinds[compute_per_memory::per_operation] = memory_kinds
         total = n * per_operation
-        cursor = self._pc_cursor
-        pcs = self.pc_base + ((cursor + np.arange(total, dtype=np.int64))
-                              % self.pc_count) * 4
-        self._pc_cursor = cursor + total
+        operands: List[Optional[int]] = [None] * total
+        operands[compute_per_memory::per_operation] = address_list
 
-        operands = np.full((n, per_operation), None, dtype=object)
-        operands[:, compute_per_memory] = address_list
+        pc_count = self.pc_count
+        first = self._pc_cursor % pc_count
+        ring = [self.pc_base + slot * 4 for slot in range(pc_count)]
+        pcs = (ring * ((first + total) // pc_count + 1))[first:first + total]
+        self._pc_cursor += total
 
-        yield from chunk_arrays(kinds.reshape(-1).tolist(), pcs.tolist(),
-                                operands.reshape(-1).tolist(), batch_size)
+        yield from chunk_arrays(kinds, pcs, operands, batch_size)
 
 
 def strided_addresses(start: int, count: int, stride: int) -> Iterator[int]:
@@ -293,49 +213,27 @@ def cold_hot_addresses(start: int, cold_touches: int, cold_stride: int,
     random re-touches of already-touched offsets after every cold touch,
     precisely to walk into such windows.
 
-    numpy builds the columns wholesale when vectorisation is enabled; all
-    random draws go through the bulk RNG helpers, which are stream-exact
-    with scalar draws — both paths emit the identical sequence.
+    All random draws go through the bulk RNG helpers, which are
+    stream-exact with scalar draws.
     """
     region_stride = region_bytes if interleave_regions > 1 else 0
-
-    def cold_offset_arrays():
-        if _VECTORIZE:
-            index = _np.arange(cold_touches, dtype=_np.int64)
-            return ((index % interleave_regions) * region_stride
-                    + (index // interleave_regions) * cold_stride)
-        return [(index % interleave_regions) * region_stride
-                + (index // interleave_regions) * cold_stride
-                for index in range(cold_touches)]
-
-    cold_offsets = cold_offset_arrays()
+    cold_offsets = [(index % interleave_regions) * region_stride
+                    + (index // interleave_regions) * cold_stride
+                    for index in range(cold_touches)]
     if mix_per_cold > 0 and cold_touches > 0:
         # After cold touch i, re-touch mix_per_cold random already-touched
         # offsets (uniform over touches 0..i).  One float draw per re-touch.
         draws = rng.random_list(cold_touches * mix_per_cold)
-        if _VECTORIZE:
-            reach = _np.repeat(_np.arange(1, cold_touches + 1, dtype=_np.int64),
-                               mix_per_cold)
-            picks = (_np.asarray(draws) * reach).astype(_np.int64)
-            columns = _np.empty((cold_touches, 1 + mix_per_cold), dtype=_np.int64)
-            columns[:, 0] = cold_offsets
-            columns[:, 1:] = _np.asarray(cold_offsets)[picks].reshape(
-                cold_touches, mix_per_cold)
-            cold = (start + columns.reshape(-1)).tolist()
-        else:
-            cold = []
-            cursor = 0
-            for index in range(cold_touches):
-                cold.append(start + cold_offsets[index])
-                for _ in range(mix_per_cold):
-                    pick = int(draws[cursor] * (index + 1))
-                    cursor += 1
-                    cold.append(start + cold_offsets[pick])
+        cold = []
+        cursor = 0
+        for index in range(cold_touches):
+            cold.append(start + cold_offsets[index])
+            for _ in range(mix_per_cold):
+                pick = int(draws[cursor] * (index + 1))
+                cursor += 1
+                cold.append(start + cold_offsets[pick])
     else:
-        if _VECTORIZE:
-            cold = (start + cold_offsets).tolist()
-        else:
-            cold = [start + offset for offset in cold_offsets]
+        cold = [start + offset for offset in cold_offsets]
     hot = [start + draw
            for draw in rng.randint_list(0, max(0, hot_span - 64), hot_operations)]
     return cold + hot
@@ -347,14 +245,8 @@ def span_mapped_addresses(offsets: List[int], span_starts: List[int],
 
     Used when a workload's footprint is split across several VMAs (arena
     layouts with guard gaps between them): offset ``o`` lands at byte
-    ``o % span_bytes`` of span ``o // span_bytes``.  numpy fancy-indexes the
-    whole column when vectorisation is enabled; the fallback emits the
-    identical list.
+    ``o % span_bytes`` of span ``o // span_bytes``.
     """
-    if _VECTORIZE:
-        off = _np.asarray(offsets, dtype=_np.int64)
-        starts = _np.asarray(span_starts, dtype=_np.int64)
-        return (starts[off // span_bytes] + off % span_bytes).tolist()
     return [span_starts[offset // span_bytes] + offset % span_bytes
             for offset in offsets]
 

@@ -29,9 +29,6 @@ from repro.workloads.base import (
     LONG_RUNNING,
     SHORT_RUNNING,
     Workload,
-    _np,
-    chunk_arrays,
-    vectorization_enabled,
 )
 
 
@@ -60,9 +57,8 @@ class IntensitySweepWorkload(Workload):
         """Run the (inherently serial) RNG/address recurrence once.
 
         The draw order — fraction draw, conditional random-target draw,
-        write draw, per operation — is exactly the stream the generators
-        consume, so the scalar and vectorised assemblies below see identical
-        addresses and write flags.
+        write draw, per operation — is exactly the stream the generator
+        consumes.
         """
         rng = DeterministicRNG(self.seed)
         rng_random = rng.random
@@ -87,10 +83,6 @@ class IntensitySweepWorkload(Workload):
         compute = max(1, int(6 - 4 * self.intensity))
         compute_pcs = [0x470000 + c * 4 for c in range(compute)]
         addresses, write_flags = self._draw_accesses()
-        if vectorization_enabled():
-            yield from self._assemble_vectorized(addresses, write_flags, compute,
-                                                 compute_pcs, batch_size)
-            return
 
         batch = InstructionBatch()
         kinds, pcs, operands = batch.kinds, batch.pcs, batch.addresses
@@ -111,26 +103,6 @@ class IntensitySweepWorkload(Workload):
                 count = 0
         if count:
             yield batch
-
-    def _assemble_vectorized(self, addresses: List[int], write_flags: List[bool],
-                             compute: int, compute_pcs: List[int],
-                             batch_size: int) -> Iterator[InstructionBatch]:
-        np = _np
-        n = len(addresses)
-        if n == 0:
-            return
-        per_operation = compute + 1
-        kinds = np.empty((n, per_operation), dtype=np.int64)
-        kinds[:, :compute] = OP_ALU
-        kinds[:, compute] = np.where(np.asarray(write_flags, dtype=bool),
-                                     OP_STORE, OP_LOAD)
-        pcs = np.empty((n, per_operation), dtype=np.int64)
-        pcs[:, :compute] = compute_pcs
-        pcs[:, compute] = 0x471000 + (np.arange(n, dtype=np.int64) % 16) * 4
-        operands = np.full((n, per_operation), None, dtype=object)
-        operands[:, compute] = addresses
-        yield from chunk_arrays(kinds.reshape(-1).tolist(), pcs.reshape(-1).tolist(),
-                                operands.reshape(-1).tolist(), batch_size)
 
 
 class KernelFractionMicrobenchmark(Workload):
@@ -182,9 +154,6 @@ class KernelFractionMicrobenchmark(Workload):
     def instruction_batches(self, process: Process,
                             batch_size: int = 4096) -> Iterator[InstructionBatch]:
         addresses = self._store_addresses()
-        if vectorization_enabled():
-            yield from self._assemble_vectorized(addresses, batch_size)
-            return
 
         batch = InstructionBatch()
         kinds, pcs, operands = batch.kinds, batch.pcs, batch.addresses
@@ -207,22 +176,3 @@ class KernelFractionMicrobenchmark(Workload):
                 count = 0
         if count:
             yield batch
-
-    def _assemble_vectorized(self, addresses: List[int],
-                             batch_size: int) -> Iterator[InstructionBatch]:
-        np = _np
-        n = len(addresses)
-        if n == 0:
-            return
-        kinds = np.empty((n, 3), dtype=np.int64)
-        kinds[:, 0] = OP_ALU
-        kinds[:, 1] = OP_ALU
-        kinds[:, 2] = OP_STORE
-        pcs = np.empty((n, 3), dtype=np.int64)
-        pcs[:, 0] = 0x480000
-        pcs[:, 1] = 0x480004
-        pcs[:, 2] = 0x481000
-        operands = np.full((n, 3), None, dtype=object)
-        operands[:, 2] = addresses
-        yield from chunk_arrays(kinds.reshape(-1).tolist(), pcs.reshape(-1).tolist(),
-                                operands.reshape(-1).tolist(), batch_size)

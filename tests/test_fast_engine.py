@@ -1,13 +1,11 @@
 """Fast-path invariance tests: batching and the VPN translation cache must
 change *host* throughput only — never a simulated statistic.
 
-Six families:
+Five families:
 
 * batch streams — a workload's instruction sequence must not depend on the
-  chunk size it is packed into, and the base class must pack a
-  per-object ``instructions`` generator exactly;
-* vectorisation — the numpy-backed generators must emit the exact sequence
-  of the pure-python fallback (RNG draws included);
+  chunk size it is packed into, must match its pinned sha256, and the base
+  class must pack a per-object ``instructions`` generator exactly;
 * cache invariance — VPN cache on vs off must produce bit-identical
   reports (cycles, IPC, walks, TLB counters, faults, memory-system
   counters), including the kernel path (``kernel_cycles``,
@@ -25,11 +23,11 @@ Six families:
   genuinely share the L2/LLC/DRAM while keeping L1/TLB state private.
 """
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
-import repro.workloads.base as workloads_base
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.config import CacheConfig, DRAMConfig, TLBConfig
 from repro.common.kernelops import KernelRoutineTrace
@@ -57,13 +55,12 @@ from repro.workloads import (
     SequentialWorkload,
     StridedWorkload,
 )
-from repro.workloads.base import numpy_available, set_vectorization
 from tests.conftest import tiny_mimicos_config, tiny_system_config
 
 
 def _guest_mix():
     """The virtualized-guest generator: arena layout + interleaved cold
-    regions + mixed re-touches, all numpy-assembled when available."""
+    regions + mixed re-touches."""
     return GuestMixWorkload(footprint_bytes=2 * MB, vma_bytes=256 << 10,
                             interleave_regions=2, mix_per_cold=2,
                             hot_operations=400, seed=7)
@@ -105,29 +102,66 @@ def flat_sequence(workload, process, batch_size):
             for entry in zip(batch.kinds, batch.pcs, batch.addresses)]
 
 
+def sequence_digest(sequence):
+    """sha256 of a flat ``(kind, pc, address)`` sequence's ``repr``."""
+    return hashlib.sha256(repr(sequence).encode()).hexdigest()
+
+
 class TestBatchStreamsAreChunkingInvariant:
-    """The instruction sequence must not depend on the chunk size."""
+    """The instruction sequence must not depend on the chunk size, and each
+    generator must keep emitting its pinned sequence (RNG draws included).
+
+    A generator rewrite meant to preserve the output must leave every pin
+    unchanged."""
 
     WORKLOADS = [
-        lambda: GUPSWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=3),
-        lambda: SequentialWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=4),
-        lambda: PointerChaseWorkload(footprint_bytes=4 * MB, memory_operations=400, seed=5),
-        lambda: IntensitySweepWorkload(0.6, memory_operations=400, prefault=False, seed=6),
-        lambda: KernelFractionMicrobenchmark(0.5, memory_operations=400, seed=8),
-        lambda: LLMInferenceWorkload("Bagel", scale=0.1, seed=9),
-        _guest_mix,
-        lambda: GraphWorkload("PR", footprint_bytes=4 * MB, memory_operations=300),
+        pytest.param(
+            lambda: GUPSWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=3),
+            "cb38b67d12e0e0b278eefb3147bcdb3513489d82e7c8514eda6cacad80708e89",
+            id="gups"),
+        pytest.param(
+            lambda: SequentialWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=4),
+            "c91a68a0a2c072bf654ff843c94ccbb672ab53cb5356b9fe1fcc3e1528397a56",
+            id="sequential"),
+        pytest.param(
+            lambda: StridedWorkload(footprint_bytes=4 * MB, memory_operations=300, seed=12),
+            "6d3f20b406cafbad9d7ae4593eb80874839c23a38de645a42132959067a9d75a",
+            id="strided"),
+        pytest.param(
+            lambda: PointerChaseWorkload(footprint_bytes=4 * MB, memory_operations=400, seed=5),
+            "5b72e31157b95c1bc1da3fbfa90858a4d766342499d3882f80c48d8cadbcc5c9",
+            id="pointer_chase"),
+        pytest.param(
+            lambda: IntensitySweepWorkload(0.6, memory_operations=400, prefault=False, seed=6),
+            "b5a2dd0db8b629c4d034134bdec29024694aa2b1cc70a099139b8bbc6cca54c7",
+            id="intensity_sweep"),
+        pytest.param(
+            lambda: KernelFractionMicrobenchmark(0.5, memory_operations=400, seed=8),
+            "154f723216497d2bd3e51dde1e6b31e35db7419ee349c97ad8e8044e4026872f",
+            id="kernel_fraction"),
+        pytest.param(
+            lambda: LLMInferenceWorkload("Bagel", scale=0.1, seed=9),
+            "f55e50a6fd55326cbfe435dd25cd0c5a5e44e07402f1c1e5d51351649eff5596",
+            id="llm"),
+        pytest.param(
+            _guest_mix,
+            "0722075ff2d77b1a207a90f0ea63eceb5cce18e0a3a5d848519ca7da715689e8",
+            id="guest_mix"),
+        pytest.param(
+            lambda: GraphWorkload("PR", footprint_bytes=4 * MB, memory_operations=300),
+            "319849d318b9bd17b458a941f336f7b41ce1a0da0b63f3e5997eb58ccba5cf27",
+            id="graph"),
     ]
 
-    @pytest.mark.parametrize("factory", WORKLOADS)
-    def test_sequences_identical(self, factory):
+    @pytest.mark.parametrize("factory,pinned", WORKLOADS)
+    def test_sequences_identical(self, factory, pinned):
         kernel = MimicOS(tiny_mimicos_config(), PageTableConfig(kind="radix"))
         process = kernel.create_process("batchcheck")
         workload = factory()
         workload.setup(kernel, process)
 
         expected = flat_sequence(workload, process, 4096)
-        assert expected
+        assert sequence_digest(expected) == pinned
         assert flat_sequence(workload, process, 257) == expected
         assert flat_sequence(workload, process, 1) == expected
 
@@ -141,49 +175,6 @@ class TestBatchStreamsAreChunkingInvariant:
         sizes = [len(batch) for batch in workload.instruction_batches(process, batch_size=100)]
         assert sizes[:-1] == [100] * (len(sizes) - 1) and 0 < sizes[-1] <= 100
         assert flat_sequence(workload, process, 100) == expected
-
-
-class TestVectorizedGenerationMatchesFallback:
-    """numpy-backed array construction must replay the pure-python path."""
-
-    WORKLOADS = [
-        lambda: GUPSWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=3),
-        lambda: SequentialWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=4),
-        lambda: StridedWorkload(footprint_bytes=4 * MB, memory_operations=300, seed=12),
-        lambda: PointerChaseWorkload(footprint_bytes=4 * MB, memory_operations=400, seed=5),
-        lambda: IntensitySweepWorkload(0.6, memory_operations=400, prefault=False, seed=6),
-        lambda: KernelFractionMicrobenchmark(0.5, memory_operations=400, seed=8),
-        lambda: LLMInferenceWorkload("Bagel", scale=0.1, seed=9),
-        _guest_mix,
-    ]
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    @pytest.mark.parametrize("factory", WORKLOADS)
-    def test_vectorized_sequences_identical(self, factory):
-        kernel = MimicOS(tiny_mimicos_config(), PageTableConfig(kind="radix"))
-        process = kernel.create_process("veccheck")
-        workload = factory()
-        workload.setup(kernel, process)
-
-        def sequence(vectorize):
-            set_vectorization(vectorize)
-            try:
-                out = []
-                for batch in workload.instruction_batches(process, batch_size=257):
-                    out.extend(zip(batch.kinds, batch.pcs, batch.addresses))
-                return out
-            finally:
-                set_vectorization(True)
-
-        assert sequence(True) == sequence(False)
-
-    def test_set_vectorization_reports_effective_state(self):
-        original = workloads_base.vectorization_enabled()
-        try:
-            assert set_vectorization(False) is False
-            assert set_vectorization(True) is numpy_available()
-        finally:
-            set_vectorization(original)
 
 
 class TestKernelBatchExpansion:
@@ -253,19 +244,6 @@ class TestCacheInvariance:
             assert on.details["core"]["counters"] == off.details["core"]["counters"]
             assert_reports_identical(off, on)
             assert on_system.mmu.fast_hits > 0
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_vectorization_on_off_invariance(self):
-        """Vectorised generation must not change a single simulated stat."""
-        factory = lambda: LLMInferenceWorkload("Bagel", scale=0.1, seed=9)
-        try:
-            set_vectorization(True)
-            _, on = run_system(factory)
-            set_vectorization(False)
-            _, off = run_system(factory)
-        finally:
-            set_vectorization(True)
-        assert_reports_identical(on, off)
 
     def test_vpn_cache_on_off_invariance(self):
         for factory in (

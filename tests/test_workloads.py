@@ -1,5 +1,10 @@
 """Tests for the workload generators and the registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.common.addresses import MB, PAGE_SIZE_4K
@@ -186,3 +191,28 @@ class TestWorkloadStreams:
         workload.setup(kernel, process)
         addresses = list(workload.prefault_addresses(process))
         assert len(addresses) == 256
+
+
+def test_simulation_never_imports_numpy():
+    """Generation is pure Python: a whole simulation run must not pull the
+    array library into the process (it would cost every worker its
+    import-time memory for nothing)."""
+    script = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.common.addresses import MB\n"
+        "from repro.common.config import scaled_system_config\n"
+        "from repro.core.virtuoso import Virtuoso\n"
+        "from repro.workloads import GUPSWorkload\n"
+        "config = scaled_system_config(physical_memory_bytes=256 * MB)\n"
+        "report = Virtuoso(config, seed=1).run(\n"
+        "    GUPSWorkload(footprint_bytes=4 * MB, memory_operations=200, seed=3))\n"
+        "assert report.instructions > 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
