@@ -9,7 +9,16 @@ import pytest
 
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.config import PageTableConfig
-from repro.core.instructions import KIND_TO_OP, Instruction, InstructionKind
+from repro.common.rng import DeterministicRNG
+from repro.core.instructions import (
+    KIND_TO_OP,
+    OP_ALU,
+    OP_BRANCH,
+    OP_LOAD,
+    OP_STORE,
+    Instruction,
+    InstructionKind,
+)
 from repro.mimicos.kernel import MimicOS
 from repro.workloads import (
     GRAPH_KERNELS,
@@ -29,6 +38,7 @@ from repro.workloads import (
     build_workload,
     workload_names,
 )
+from repro.workloads.base import StreamBuilder, cold_hot_addresses, span_mapped_addresses
 from tests.conftest import tiny_mimicos_config
 
 
@@ -191,6 +201,122 @@ class TestWorkloadStreams:
         workload.setup(kernel, process)
         addresses = list(workload.prefault_addresses(process))
         assert len(addresses) == 256
+
+
+class TestWholeListGeneratorsMatchPerAccessModels:
+    """The whole-list generators against straight per-access loops.
+
+    ``StreamBuilder.emit_batches``, ``cold_hot_addresses`` and
+    ``span_mapped_addresses`` assemble their output with list repetition,
+    extended-slice assignment and bulk RNG draws.  Each is checked here
+    against the obvious one-access-at-a-time loop, including the RNG stream
+    position it leaves behind, over the shapes the slicing can get wrong:
+    no or one compute slot, a PC ring shorter than one access, a cursor
+    carried across calls, short ``writes`` and empty input.
+    """
+
+    @staticmethod
+    def model_stream(calls, seed, compute_per_memory, write_fraction, pc_count,
+                     pc_base=0x400000):
+        """Per-access model of successive ``emit_batches`` calls."""
+        rng = DeterministicRNG(seed)
+        out = []
+        cursor = 0
+        for addresses, writes in calls:
+            write_iter = iter(writes) if writes is not None else None
+            for address in addresses:
+                for slot in range(compute_per_memory):
+                    kind = OP_BRANCH if slot == compute_per_memory - 1 else OP_ALU
+                    out.append((kind, pc_base + (cursor % pc_count) * 4, None))
+                    cursor += 1
+                if write_iter is not None:
+                    is_write = next(write_iter, False)
+                else:
+                    is_write = rng.random() < write_fraction
+                out.append((OP_STORE if is_write else OP_LOAD,
+                            pc_base + (cursor % pc_count) * 4, address))
+                cursor += 1
+        return out, rng.random()
+
+    ADDRESSES = [0x10000 + 64 * index for index in range(50)]
+
+    @pytest.mark.parametrize("compute_per_memory,write_fraction,pc_count,calls", [
+        pytest.param(2, 0.3, 32, [(ADDRESSES, None)], id="defaults"),
+        pytest.param(0, 0.3, 32, [(ADDRESSES, None)], id="no_compute"),
+        pytest.param(1, 0.3, 32, [(ADDRESSES, None)], id="branch_only"),
+        pytest.param(5, 0.5, 32, [(ADDRESSES, None)], id="wide_compute"),
+        pytest.param(2, 0.3, 1, [(ADDRESSES, None)], id="single_pc"),
+        pytest.param(3, 0.3, 7, [(ADDRESSES[:13], None), (ADDRESSES[13:], None),
+                                 (ADDRESSES[:5], None)], id="cursor_across_calls"),
+        pytest.param(2, 0.3, 32, [(ADDRESSES[:6], [True, False, True, True, False, True])],
+                     id="explicit_writes"),
+        pytest.param(2, 0.3, 32, [(ADDRESSES, [True, True, True])], id="short_writes"),
+        pytest.param(2, 1.0, 5, [(ADDRESSES, None)], id="all_stores"),
+        pytest.param(2, 0.3, 32, [([], None), (ADDRESSES[:3], None), ([], [True])],
+                     id="empty_calls"),
+    ])
+    def test_emit_batches(self, compute_per_memory, write_fraction, pc_count, calls):
+        expected, next_draw = self.model_stream(calls, 21, compute_per_memory,
+                                                write_fraction, pc_count)
+        for batch_size in (1, 7, 4096):
+            rng = DeterministicRNG(21)
+            builder = StreamBuilder(rng, compute_per_memory=compute_per_memory,
+                                    write_fraction=write_fraction, pc_count=pc_count)
+            produced = []
+            for addresses, writes in calls:
+                # A generator argument exercises the non-list input path.
+                for batch in builder.emit_batches((a for a in addresses), writes,
+                                                  batch_size=batch_size):
+                    assert 0 < len(batch.kinds) <= batch_size
+                    produced.extend(zip(batch.kinds, batch.pcs, batch.addresses))
+            assert produced == expected
+            assert rng.random() == next_draw
+
+    @staticmethod
+    def model_cold_hot(start, cold_touches, cold_stride, hot_operations, hot_span,
+                       rng, interleave_regions, region_bytes, mix_per_cold):
+        touched = []
+        out = []
+        for index in range(cold_touches):
+            region = index % interleave_regions if interleave_regions > 1 else 0
+            offset = (region * region_bytes
+                      + (index // interleave_regions) * cold_stride)
+            touched.append(offset)
+            out.append(start + offset)
+            for _ in range(mix_per_cold):
+                out.append(start + touched[int(rng.random() * (index + 1))])
+        for _ in range(hot_operations):
+            out.append(start + rng.randint(0, max(0, hot_span - 64)))
+        return out
+
+    @pytest.mark.parametrize("interleave_regions,region_bytes,mix_per_cold", [
+        pytest.param(1, 0, 0, id="plain"),
+        pytest.param(3, 1 << 20, 0, id="interleaved"),
+        pytest.param(2, 1 << 20, 3, id="interleaved_mixed"),
+    ])
+    def test_cold_hot_addresses(self, interleave_regions, region_bytes, mix_per_cold):
+        arguments = (0x7000_0000, 40, PAGE_SIZE_4K, 60, 24 * PAGE_SIZE_4K)
+        rng, model_rng = DeterministicRNG(5), DeterministicRNG(5)
+        produced = cold_hot_addresses(*arguments, rng,
+                                      interleave_regions=interleave_regions,
+                                      region_bytes=region_bytes,
+                                      mix_per_cold=mix_per_cold)
+        expected = self.model_cold_hot(*arguments, model_rng, interleave_regions,
+                                       region_bytes, mix_per_cold)
+        assert produced == expected
+        assert len(produced) == 40 * (1 + mix_per_cold) + 60
+        assert rng.random() == model_rng.random()
+
+    def test_span_mapped_addresses(self):
+        span_starts = [0x1000_0000, 0x2000_0000, 0x2400_0000]
+        span_bytes = 3 * PAGE_SIZE_4K
+        offsets = [0, 1, span_bytes - 1, span_bytes, 2 * span_bytes + 5,
+                   span_bytes + PAGE_SIZE_4K, 3 * span_bytes - 64]
+        expected = []
+        for offset in offsets:
+            span, within = divmod(offset, span_bytes)
+            expected.append(span_starts[span] + within)
+        assert span_mapped_addresses(offsets, span_starts, span_bytes) == expected
 
 
 def test_simulation_never_imports_numpy():
